@@ -1,7 +1,8 @@
 // Reproduces Figure 11: robustness of the embedded message passing scheme
-// against lost messages. For every remote belief message, the network
-// delivers it only with probability P(send); the algorithm must still
-// converge to the same posteriors, just more slowly.
+// against lost messages. Every remote belief message is delivered only
+// with probability P(send): a seeded `FaultPlan` drops it with
+// probability 1 - P(send). The algorithm must still converge to the same
+// posteriors, just more slowly.
 //
 // Setup per the paper: example network, ∆ = 0.1, priors at 0.8, feedback
 // f1+, f2−, f3−. The paper observes convergence even when 90% of messages
@@ -11,6 +12,7 @@
 #include <cstdio>
 
 #include "bench/fixtures.h"
+#include "net/fault_injection.h"
 #include "util/table.h"
 
 namespace pdms {
@@ -29,10 +31,17 @@ LossRun RunWithLoss(double p_send, const std::vector<double>* reference,
   EngineOptions options;
   options.default_prior = 0.8;
   options.delta_override = 0.1;
-  options.network.send_probability = p_send;
-  options.network.seed = 1234;
   options.tolerance = 1e-7;
-  bench::IntroFixture fixture = bench::MakeIntroFixture(options);
+  FaultPlan plan;
+  plan.seed = 1234;
+  plan.drop_rate = 1.0 - p_send;
+  // The feedback is injected directly (no discovery traffic), so the plan
+  // is armed from the start and only belief messages ever cross it.
+  bench::IntroFixture fixture = bench::MakeIntroFixture(
+      options, 0, 17, [plan](size_t peers, const EngineOptions&) {
+        return std::make_unique<FaultInjectingTransport>(
+            std::make_unique<SimTransport>(peers, NetworkOptions{}), plan);
+      });
   bench::InjectPaperFeedback(fixture);
   Pdms& pdms = fixture.pdms;
   const ConvergenceReport report = pdms.session().Converge(4000);

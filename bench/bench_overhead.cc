@@ -29,7 +29,9 @@ void PeriodicOverhead(Pdms* pdms, const char* label) {
   for (PeerId p = 0; p < pdms->peer_count(); ++p) {
     const Peer& peer = pdms->peer(p);
     size_t actual = 0;
-    for (const Outgoing& outgoing : peer.CollectOutgoingBeliefs()) {
+    std::vector<Outgoing> bundles;
+    peer.CollectOutgoingBeliefs(&bundles);
+    for (const Outgoing& outgoing : bundles) {
       actual += std::get<BeliefMessage>(outgoing.payload).update_count();
     }
     total_bound += peer.RemoteMessageBound();

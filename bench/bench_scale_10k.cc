@@ -31,7 +31,8 @@
 //
 // --smoke (CI mode) restricts to 1k peers, parallelism 1/2, 3 measured
 // rounds: fast enough for every PR, still end-to-end through discovery,
-// parallel rounds, transport accounting and the JSON writer.
+// parallel rounds, transport accounting and the JSON writer. The 200-peer
+// fault sweep runs in full either way.
 // --require-cores=N exits 3 up front when the host has fewer than N
 // hardware threads (CI guard for the multi-core perf job);
 // --require-speedup=P:X fails the run unless the best exact parallelism-P
@@ -258,8 +259,9 @@ FaultRun RunFaultConfig(const SyntheticPdms& workload, const FaultPlan& plan,
                         size_t max_rounds,
                         const std::vector<double>* reference,
                         std::vector<double>* sample_out) {
-  // Serial rounds: the decorator's draws are keyed on arrival order at the
-  // Send() entry point, which is scheduler-dependent under parallel sends.
+  // Serial rounds. The decorator's draws would replay at any parallelism
+  // (the engine issues sends in canonical peer order), but the sweep
+  // measures fault cost, not the pool.
   Pdms pdms = PdmsBuilder::FromSynthetic(workload)
                   .WithOptions(ScaleOptions(1))
                   .WithTransport([](size_t peer_count, const EngineOptions&) {
@@ -305,13 +307,13 @@ FaultRun RunFaultConfig(const SyntheticPdms& workload, const FaultPlan& plan,
 /// Figure-11-style sweep: drop × duplicate × reorder over a small BA
 /// network. Faults here are engine-visible (a dropped belief is gone), so
 /// the curve measures convergence cost and residual posterior error — the
-/// complement of the socket layer's bitwise-identical guarantee.
-std::vector<FaultRun> RunFaultSweep(bool smoke) {
+/// complement of the socket layer's bitwise-identical guarantee. The full
+/// 27-row sweep takes seconds, so smoke runs keep it: CI then re-checks
+/// exactly the checked-in rows (bench_compare's converged-error gate).
+std::vector<FaultRun> RunFaultSweep() {
   constexpr size_t kFaultPeers = 200;
   constexpr size_t kFaultMaxRounds = 400;
-  const std::vector<double> rates =
-      smoke ? std::vector<double>{0.0, 0.3}
-            : std::vector<double>{0.0, 0.15, 0.3};
+  const std::vector<double> rates = {0.0, 0.15, 0.3};
 
   const SyntheticPdms workload = BuildWorkload("ba", kFaultPeers);
   std::vector<double> reference;
@@ -769,7 +771,7 @@ int Main(int argc, char** argv) {
   }
 
   const std::vector<FaultRun> fault_runs =
-      run_faults ? RunFaultSweep(smoke) : std::vector<FaultRun>{};
+      run_faults ? RunFaultSweep() : std::vector<FaultRun>{};
   const std::vector<AdversaryRun> adversary_runs =
       run_adversaries ? RunAdversarySweep(smoke) : std::vector<AdversaryRun>{};
   WriteJson(out_path, results, fault_runs, adversary_runs, smoke);

@@ -49,8 +49,8 @@ int main() {
 
   // 3. Options + transport. No prior knowledge about any mapping. The
   //    instant transport is lossless and zero-delay — ideal for
-  //    convergence-only workloads; swap in WithSimTransport({...}) for
-  //    delay/loss experiments.
+  //    convergence-only workloads; for loss experiments, pass
+  //    WithTransport a FaultInjectingTransport carrying a FaultPlan.
   EngineOptions options;
   options.probe_ttl = 5;  // long enough to close the 4-mapping cycle
   Result<Pdms> built = builder.WithOptions(options)

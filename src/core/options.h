@@ -154,11 +154,11 @@ struct EngineOptions {
 
   Granularity granularity = Granularity::kFine;
 
-  /// Convergence: max posterior change per round below `tolerance` for
-  /// `convergence_patience` consecutive rounds (0 = auto like the
-  /// centralized engine: 1 lossless, ceil(3/P(send)) lossy).
+  /// Convergence: `RunToConvergence` stops once the max posterior change
+  /// has stayed below `tolerance` since the last round it did not, *and*
+  /// every belief link has delivered a bundle since that round — so loss
+  /// injected anywhere on the wire can never pass for quiescence.
   double tolerance = 1e-7;
-  size_t convergence_patience = 0;
   /// Damping λ in [0,1) on local factor->variable message updates:
   /// message' = λ·old + (1−λ)·computed. Loopy BP on dense evidence graphs
   /// can oscillate (Section 3.1, [15]); damping restores convergence
@@ -182,6 +182,8 @@ struct EngineOptions {
   /// `FaultPlan`s; see `ByzantinePlan` in net/fault_injection.h.
   ByzantinePlan byzantine;
 
+  /// Delay of the default lossless `SimTransport`; channel faults come
+  /// from a `FaultPlan` through `FaultInjectingTransport`.
   NetworkOptions network;
 };
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <thread>
 #include <unordered_set>
 
@@ -283,26 +282,32 @@ RoundReport PdmsEngine::RunRound() {
 ConvergenceReport PdmsEngine::RunToConvergence(size_t max_rounds,
                                                const RoundCallback& on_round) {
   ConvergenceReport report;
-  size_t patience = options_.convergence_patience;
-  if (patience == 0) {
-    patience = options_.network.send_probability >= 1.0
-                   ? 1
-                   : static_cast<size_t>(
-                         std::ceil(3.0 / options_.network.send_probability));
-  }
-  size_t quiet = 0;
-  for (size_t round = 0; round < max_rounds; ++round) {
+  // The last round whose residual reached tolerance (0: before this call).
+  size_t last_moved = 0;
+  for (size_t round = 1; round <= max_rounds; ++round) {
     const RoundReport step = RunRound();
-    report.rounds = round + 1;
+    report.rounds = round;
     report.belief_updates_sent += step.belief_updates_sent;
     if (on_round) on_round(report.rounds, step);
-    quiet = step.max_posterior_change < options_.tolerance ? quiet + 1 : 0;
-    if (quiet >= patience) {
+    if (step.max_posterior_change >= options_.tolerance) {
+      last_moved = round;
+    } else if (AllLinksHeardWithin(round - last_moved)) {
       report.converged = true;
       break;
     }
   }
   return report;
+}
+
+bool PdmsEngine::AllLinksHeardWithin(size_t rounds) const {
+  // Under the lazy schedule no link is expected to send: residual only.
+  if (options_.schedule == ScheduleKind::kLazy) return true;
+  for (PeerId p = 0; p < peers_.size(); ++p) {
+    if (IsLocalPeer(p) && !peers_[p]->HeardAllLinksWithin(rounds)) {
+      return false;
+    }
+  }
+  return true;
 }
 
 double PdmsEngine::Posterior(EdgeId edge, AttributeId attribute) const {

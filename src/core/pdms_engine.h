@@ -105,8 +105,11 @@ class PdmsEngine {
   /// schedule, every τ) exchange remote messages.
   RoundReport RunRound();
 
-  /// Rounds until posterior movement stays below tolerance (with loss-aware
-  /// patience) or `max_rounds`. `on_round`, when set, observes every round.
+  /// Rounds until `max_rounds` or the convergence verdict: the residual
+  /// has stayed below tolerance since the last round `L` it did not, and
+  /// every belief link of every local peer has delivered a bundle since
+  /// `L` (read from delivered traffic, so injected loss cannot fake
+  /// quiescence). `on_round`, when set, observes every round.
   ConvergenceReport RunToConvergence(size_t max_rounds,
                                      const RoundCallback& on_round = nullptr);
 
@@ -251,6 +254,10 @@ class PdmsEngine {
   /// otherwise. `fn` must only touch peer p's state (plus the transport,
   /// which is thread-safe).
   void ForEachPeer(const std::function<void(size_t)>& fn);
+
+  /// The freshness half of the convergence verdict: every local peer
+  /// heard all its belief links within the last `rounds` rounds.
+  bool AllLinksHeardWithin(size_t rounds) const;
 
   Digraph graph_;
   EngineOptions options_;

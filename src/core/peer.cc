@@ -519,6 +519,8 @@ Status Peer::AbsorbBeliefBundle(PeerId from, const BeliefMessage& message) {
         from, message.epoch, id_, alias_epoch_));
   }
   PeerLink& link = alias_links_[InternAliasLink(from)];
+  // Stamped with the round this bundle feeds (the next ComputeRound).
+  link.heard = round_ + 1;
   const bool guarded = options_->byzantine_guard.enabled;
   if (guarded) {
     // Hard-quarantined link: nothing in the bundle is trusted — not the
@@ -990,10 +992,13 @@ void Peer::CollectOutgoingBeliefs(std::vector<Outgoing>* out) const {
   }
 }
 
-std::vector<Outgoing> Peer::CollectOutgoingBeliefs() const {
-  std::vector<Outgoing> out;
-  CollectOutgoingBeliefs(&out);
-  return out;
+bool Peer::HeardAllLinksWithin(uint64_t rounds) const {
+  for (const BeliefRoute& route : belief_routes_) {
+    const PeerLink& link = alias_links_[route.link];
+    if (link.guard_demote_level >= 2) continue;  // dropped on arrival anyway
+    if (link.heard == 0 || link.heard + rounds <= round_) return false;
+  }
+  return true;
 }
 
 std::vector<BeliefUpdate> Peer::PiggybackUpdatesFor(EdgeId edge) const {

@@ -194,7 +194,13 @@ class Peer {
   /// full fingerprint rides along only while the recipient's ack does not
   /// yet cover the alias (first mention, or refallback after loss).
   void CollectOutgoingBeliefs(std::vector<Outgoing>* out) const;
-  std::vector<Outgoing> CollectOutgoingBeliefs() const;
+
+  /// True if every belief link — each recipient of this peer's outgoing
+  /// bundles, hard-quarantined links exempt — delivered a bundle that fed
+  /// one of the last `rounds` `ComputeRound`s. The freshness half of the
+  /// engine's convergence verdict: a quiet round only counts once every
+  /// neighbor has actually been heard since the posteriors last moved.
+  bool HeardAllLinksWithin(uint64_t rounds) const;
 
   /// Belief updates pertaining to mapping `edge` (for lazy piggybacking,
   /// Section 4.3.2).
@@ -558,6 +564,10 @@ class Peer {
     /// snapshot continues it identically. Unused when quantization is
     /// off.
     uint8_t value_rank = 0;
+    /// Peer round (1-based `ComputeRound` count) the link's latest
+    /// accepted bundle fed; 0 = never heard. Transient: not part of
+    /// `LinkImage`, so after a restore the verdict waits for fresh traffic.
+    uint64_t heard = 0;
 
     // Byzantine-guard state (EngineOptions::byzantine_guard). All
     // untouched — and all zero — while the guard is disabled.

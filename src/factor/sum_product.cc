@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <numeric>
 
 namespace pdms {
@@ -75,11 +74,6 @@ void SumProductEngine::UpdateFactorMessages(FactorIndex f, bool synchronous_stag
   }
   auto& target = synchronous_stage ? staged_[f] : to_var_[f];
   for (size_t i = 0; i < n; ++i) {
-    if (options_.message_send_probability < 1.0 &&
-        !rng_.Bernoulli(options_.message_send_probability)) {
-      target[i] = to_var_[f][i];  // Message lost: recipient keeps stale value.
-      continue;
-    }
     Belief computed = factor.MessageTo(i, incoming_scratch_).Rescaled();
     if (options_.damping > 0.0) {
       computed = to_var_[f][i].DampedToward(computed, 1.0 - options_.damping);
@@ -147,14 +141,6 @@ std::vector<Belief> SumProductEngine::Posteriors() const {
 
 SumProductResult SumProductEngine::Run() {
   SumProductResult result;
-  size_t patience = options_.convergence_patience;
-  if (patience == 0) {
-    patience = options_.message_send_probability >= 1.0
-                   ? 1
-                   : static_cast<size_t>(
-                         std::ceil(3.0 / options_.message_send_probability));
-  }
-  size_t quiet_steps = 0;
   for (size_t iteration = 0; iteration < options_.max_iterations; ++iteration) {
     const double change = Step();
     result.iterations = iteration + 1;
@@ -165,8 +151,7 @@ SumProductResult SumProductEngine::Run() {
       }
       result.trajectory.push_back(std::move(snapshot));
     }
-    quiet_steps = change < options_.tolerance ? quiet_steps + 1 : 0;
-    if (quiet_steps >= patience) {
+    if (change < options_.tolerance) {
       result.converged = true;
       break;
     }

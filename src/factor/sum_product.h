@@ -31,17 +31,8 @@ struct SumProductOptions {
   /// Damping λ in [0,1): message' = λ·old + (1−λ)·computed. 0 disables.
   double damping = 0.0;
   SumProductSchedule schedule = SumProductSchedule::kFlooding;
-  /// Probability that a factor→variable message update is delivered this
-  /// iteration; with probability 1−p the stale message is kept. Models the
-  /// lost-message experiment of Section 5.1.3 (Figure 11).
-  double message_send_probability = 1.0;
-  /// Seed for the random schedule and for message-loss draws.
+  /// Seed for the random schedule.
   uint64_t seed = 42;
-  /// Number of consecutive sub-tolerance iterations required to declare
-  /// convergence. 0 selects automatically: 1 for lossless runs, and
-  /// ceil(3 / message_send_probability) under message loss, where a single
-  /// quiet iteration may just mean most messages were dropped.
-  size_t convergence_patience = 0;
   /// When true, posterior P(correct) of every variable is recorded after
   /// each iteration (Figure 7 needs the full trajectory).
   bool record_trajectory = false;
@@ -53,7 +44,8 @@ struct SumProductResult {
   std::vector<Belief> posteriors;
   /// Iterations actually executed.
   size_t iterations = 0;
-  /// True if the tolerance was met before `max_iterations`.
+  /// True if an iteration's posterior change fell below the tolerance
+  /// before `max_iterations`.
   bool converged = false;
   /// trajectory[t][v] = P(variables v correct) after iteration t+1
   /// (only if `record_trajectory`).

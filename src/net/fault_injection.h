@@ -187,10 +187,16 @@ struct FaultStats {
 /// the codec rejects becomes a drop, mirroring how the framed wire treats
 /// corruption).
 ///
+/// This is the one in-process loss model: the simulators themselves are
+/// lossless, and the engine's convergence verdict waits for every belief
+/// link to deliver, so dropped bundles cost rounds, never correctness.
+///
 /// Determinism: decisions are keyed on a per-instance event counter, so a
-/// serially-driven run (parallelism 1) replays exactly for a given seed.
-/// Under parallel sends the arrival order of events at the decorator is
-/// scheduler-dependent, so use serial rounds when comparing runs.
+/// run replays exactly for a given seed whenever the send sequence does.
+/// The engine guarantees that at every parallelism level: round workers
+/// only build bundles, and the sends are issued serially in canonical
+/// peer order. Callers that `Send` from their own threads get
+/// scheduler-dependent draws.
 ///
 /// `stats()` forwards the inner transport's counters; injected faults are
 /// accounted in `fault_stats()` instead (a dropped envelope never reaches
@@ -217,9 +223,10 @@ class FaultInjectingTransport final : public Transport {
   const FaultPlan& plan() const { return plan_; }
   FaultStats fault_stats() const;
 
-  /// Swaps the active plan mid-run. Lets a bench run discovery fault-free
-  /// and then arm faults for the belief rounds alone, mirroring the
-  /// paper's Figure 11 setup (only belief messages are lossy).
+  /// Swaps the active plan mid-run. Lets a caller run discovery
+  /// fault-free and then arm faults for the belief rounds alone,
+  /// mirroring the paper's Figure 11 setup (only belief messages are
+  /// lossy).
   void set_plan(const FaultPlan& plan);
 
  private:

@@ -7,22 +7,7 @@ namespace pdms {
 void SimTransport::Send(PeerId from, PeerId to, std::optional<EdgeId> via,
                         Payload payload) {
   assert(to < mailboxes_.size());
-  const MessageKind kind = KindOf(payload);
-  counters_.CountSendAttempt(kind);
-  const bool lossy_kind = !options_.lose_belief_messages_only ||
-                          kind == MessageKind::kBelief;
-  if (lossy_kind && options_.send_probability < 1.0) {
-    bool dropped;
-    {
-      std::lock_guard<std::mutex> lock(rng_mutex_);
-      dropped = !rng_.Bernoulli(options_.send_probability);
-    }
-    if (dropped) {
-      counters_.CountDropped(kind);
-      return;
-    }
-  }
-  // Bytes account only what was accepted for delivery (drops excluded).
+  counters_.CountSendAttempt(KindOf(payload));
   const WireBreakdown wire = PayloadWireBreakdown(payload);
   counters_.CountPayloadBytes(wire);
   Envelope envelope;

@@ -10,24 +10,16 @@
 
 #include "net/message.h"
 #include "pdms/transport.h"
-#include "util/rng.h"
 
 namespace pdms {
 
-/// Configuration of the simulated transport.
+/// Configuration of the simulated transport. The simulator is lossless;
+/// in-process loss and other channel faults come from a `FaultPlan` applied
+/// through `FaultInjectingTransport` (net/fault_injection.h).
 struct NetworkOptions {
-  /// Probability that a sent message is actually delivered — the
-  /// `P(send)` of the fault-tolerance experiment (Section 5.1.3). Lost
-  /// messages vanish silently; the algorithm tolerates this by design.
-  double send_probability = 1.0;
   /// Delivery latency in ticks (>= 1: a message sent at tick t becomes
   /// deliverable at t + delay_ticks).
   uint64_t delay_ticks = 1;
-  uint64_t seed = 1;
-  /// Message loss applies only to belief traffic when true (the paper's
-  /// experiment drops inference messages; probes/feedback/query traffic
-  /// uses whatever reliability the overlay provides).
-  bool lose_belief_messages_only = true;
 };
 
 /// Discrete-tick simulated message bus between peers — the default
@@ -35,15 +27,11 @@ struct NetworkOptions {
 ///
 /// Thread-safe per the `Transport` contract: mailboxes are sharded per
 /// destination peer behind their own mutexes, so concurrent sends to
-/// different peers never contend. Loss draws come from one seeded stream
-/// guarded by its own mutex (taken only when loss is actually configured):
-/// with a serial send order — which the engine guarantees regardless of its
-/// compute parallelism — drops and deliveries are identical for the same
-/// seed and send sequence.
+/// different peers never contend.
 class SimTransport final : public Transport {
  public:
   SimTransport(size_t peer_count, const NetworkOptions& options)
-      : options_(options), rng_(options.seed), mailboxes_(peer_count) {}
+      : options_(options), mailboxes_(peer_count) {}
 
   std::string_view name() const override { return "sim"; }
   size_t peer_count() const override { return mailboxes_.size(); }
@@ -54,7 +42,7 @@ class SimTransport final : public Transport {
     now_.fetch_add(1, std::memory_order_relaxed);
   }
 
-  /// Enqueues a message; may drop it per `send_probability`.
+  /// Enqueues a message for delivery `delay_ticks` from now.
   void Send(PeerId from, PeerId to, std::optional<EdgeId> via,
             Payload payload) override;
 
@@ -77,8 +65,6 @@ class SimTransport final : public Transport {
   };
 
   NetworkOptions options_;
-  std::mutex rng_mutex_;
-  Rng rng_;  // guarded by rng_mutex_
   std::atomic<uint64_t> now_{0};
   /// Messages enqueued and not yet drained; O(1) HasPendingMessages.
   std::atomic<uint64_t> in_flight_{0};

@@ -419,13 +419,7 @@ Result<size_t> PdmsNode::RunDiscovery() {
 
 Result<ConvergenceReport> PdmsNode::RunRounds() {
   const EngineOptions& engine_options = pdms_.options();
-  // The socket wire is lossless, so the auto patience rule resolves to 1
-  // exactly like the lossless simulator's.
-  const size_t patience = engine_options.convergence_patience == 0
-                              ? 1
-                              : engine_options.convergence_patience;
   ConvergenceReport report;
-  size_t quiet = 0;
   double previous_change = 1.0;
   uint64_t round = 0;
   // Resuming from a restored or rolled-back cut: engine, inboxes and the
@@ -434,7 +428,6 @@ Result<ConvergenceReport> PdmsNode::RunRounds() {
   bool skip_barrier = false;
   if (resume_.has_value()) {
     round = resume_->round;
-    quiet = static_cast<size_t>(resume_->quiet);
     previous_change = resume_->previous_change;
     report.rounds = round;
     report.belief_updates_sent = resume_->report_updates;
@@ -468,7 +461,6 @@ Result<ConvergenceReport> PdmsNode::RunRounds() {
           }
           if (resume_.has_value()) {
             round = resume_->round;
-            quiet = static_cast<size_t>(resume_->quiet);
             previous_change = resume_->previous_change;
             report.rounds = round;
             report.belief_updates_sent = resume_->report_updates;
@@ -485,8 +477,9 @@ Result<ConvergenceReport> PdmsNode::RunRounds() {
         for (const MarkFrame& remote : marks) {
           global_change = std::max(global_change, remote.max_change);
         }
-        quiet = global_change < engine_options.tolerance ? quiet + 1 : 0;
-        if (quiet >= patience) {
+        // The socket wire is lossless and every shard sends on every
+        // link each round, so one quiet round is the converged verdict.
+        if (global_change < engine_options.tolerance) {
           report.converged = true;
           break;
         }
@@ -497,7 +490,7 @@ Result<ConvergenceReport> PdmsNode::RunRounds() {
     // This is the consistent cut "rounds 1..`round` executed everywhere,
     // round-`round` traffic sitting in the inboxes": every shard has
     // crossed the round-`round` barrier and nothing else is in flight.
-    CaptureCut(round, quiet, previous_change, report);
+    CaptureCut(round, previous_change, report);
     const RoundReport step = pdms_.engine().RunRound();
     PDMS_RETURN_IF_ERROR(transport_->barrier_status());
     ++round;
@@ -524,8 +517,7 @@ Result<ConvergenceReport> PdmsNode::RunRounds() {
 
 // --- Durable state & re-admission -----------------------------------------------
 
-void PdmsNode::CaptureCut(uint64_t round, uint64_t quiet,
-                          double previous_change,
+void PdmsNode::CaptureCut(uint64_t round, double previous_change,
                           const ConvergenceReport& report) {
   const bool ring = options_.rejoin_grace_ms > 0;
   if (store_ == nullptr && !ring) return;
@@ -533,7 +525,6 @@ void PdmsNode::CaptureCut(uint64_t round, uint64_t quiet,
   cut.state_epoch = state_epoch_;
   cut.round = round;
   cut.tick = transport_->now();
-  cut.quiet = quiet;
   cut.previous_change = previous_change;
   cut.report_updates = report.belief_updates_sent;
   cut.engine = pdms_.engine().CaptureImage();
@@ -745,7 +736,6 @@ Status PdmsNode::ServeRejoin(const RejoinFrame& rejoin) {
   resume.state_epoch = state_epoch_;
   resume.round = cut->round;
   resume.tick = cut->tick;
-  resume.quiet = cut->quiet;
   resume.previous_change = cut->previous_change;
   resume.report_updates = cut->report_updates;
   resume_ = std::move(resume);

@@ -154,11 +154,12 @@ class PdmsNode {
   uint64_t state_epoch() const { return state_epoch_; }
 
   /// Mark-synchronized inference rounds until the *global* posterior
-  /// movement (max over all live shards) stays below tolerance, with the
-  /// same patience semantics as `PdmsEngine::RunToConvergence` — a
-  /// partitioned run executes exactly as many rounds as the
-  /// single-process one. The posterior snapshot queries are served from
-  /// is refreshed after every round.
+  /// movement (max over all live shards) falls below tolerance. The
+  /// socket wire is lossless and every link delivers every round, so this
+  /// is the round at which `PdmsEngine::RunToConvergence` reaches its
+  /// verdict over a lossless transport — a partitioned run executes
+  /// exactly as many rounds as the single-process one. The posterior
+  /// snapshot queries are served from is refreshed after every round.
   Result<ConvergenceReport> RunRounds();
 
   /// Executes a query request against the current posterior snapshot —
@@ -244,7 +245,7 @@ class PdmsNode {
   /// snapshot store (when configured) and pushes it onto the in-memory
   /// cut ring (when the rejoin grace window is enabled). Driver thread,
   /// called between the round barrier and the next `RunRound`.
-  void CaptureCut(uint64_t round, uint64_t quiet, double previous_change,
+  void CaptureCut(uint64_t round, double previous_change,
                   const ConvergenceReport& report);
 
   /// Survivor side of re-admission, on the driver thread: validates the

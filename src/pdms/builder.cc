@@ -50,13 +50,6 @@ PdmsBuilder& PdmsBuilder::WithTransport(TransportFactory factory) {
   return *this;
 }
 
-PdmsBuilder& PdmsBuilder::WithSimTransport(const NetworkOptions& network) {
-  return WithTransport(
-      [network](size_t peer_count, const EngineOptions& /*options*/) {
-        return std::make_unique<SimTransport>(peer_count, network);
-      });
-}
-
 PdmsBuilder& PdmsBuilder::WithInstantTransport() {
   return WithTransport(
       [](size_t peer_count, const EngineOptions& /*options*/) {

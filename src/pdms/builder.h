@@ -81,10 +81,6 @@ class PdmsBuilder {
   /// the final peer count.
   PdmsBuilder& WithTransport(TransportFactory factory);
 
-  /// Discrete-tick simulator with explicit delay / loss configuration
-  /// (also reachable via `EngineOptions::network`; this override wins).
-  PdmsBuilder& WithSimTransport(const NetworkOptions& network);
-
   /// Zero-delay lossless in-process transport.
   PdmsBuilder& WithInstantTransport();
 

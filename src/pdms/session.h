@@ -26,8 +26,8 @@ class RoundObserver {
 };
 
 /// Bounds for `Session::Converge`. Implicitly constructible from a round
-/// count so `session.Converge(200)` reads like the old API; tolerance and
-/// patience come from `EngineOptions`.
+/// count so `session.Converge(200)` reads like the old API; the tolerance
+/// comes from `EngineOptions`.
 struct ConvergeLimits {
   size_t max_rounds = 200;
 
@@ -59,9 +59,11 @@ class Session {
   /// One synchronized inference round; observers fire once.
   RoundReport Step();
 
-  /// Rounds until posterior movement stays below the configured tolerance
-  /// (with loss-aware patience) or `limits.max_rounds`; observers fire
-  /// after every round.
+  /// Rounds until `limits.max_rounds` or the converged verdict: posterior
+  /// movement has stayed below the configured tolerance since it last
+  /// reached it, and every belief link has delivered a bundle since then
+  /// (see `PdmsEngine::RunToConvergence`). Observers fire after every
+  /// round.
   ConvergenceReport Converge(ConvergeLimits limits = {});
 
   // --- Queries ---------------------------------------------------------------

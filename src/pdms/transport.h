@@ -113,9 +113,11 @@ struct CapturedFrame {
 /// The engine computes *what* the peers exchange (probes, feedback
 /// announcements, belief updates, queries); a `Transport` decides *how*
 /// the envelopes travel: with what delay, what loss, over what substrate.
-/// Implementations ship with the library (`SimTransport`, the discrete-
-/// tick lossy simulator; `InstantTransport`, zero-delay and lossless) and
-/// can be supplied by applications through `PdmsBuilder::WithTransport`.
+/// Implementations ship with the library (`SimTransport`, the lossless
+/// discrete-tick simulator; `InstantTransport`, zero-delay and lossless;
+/// `FaultInjectingTransport`, which adds seeded loss, duplication,
+/// reordering and delay to either) and can be supplied by applications
+/// through `PdmsBuilder::WithTransport`.
 ///
 /// Contract (exercised by the shared conformance test):
 ///  * `Send` may drop (recording `dropped`) but never reorders messages

@@ -639,7 +639,9 @@ uint64_t ComputeStateEpoch(const Digraph& graph,
   HashU64(h, options.period_ticks);
   HashU64(h, static_cast<uint64_t>(options.granularity));
   HashDouble(h, options.tolerance);
-  HashU64(h, options.convergence_patience);
+  // Formerly the convergence patience, which no deployment ever set:
+  // hashing its default keeps existing snapshots loadable.
+  HashU64(h, 0);
   HashDouble(h, options.damping);
   // The value error budget changes what travels on the wire (and thus the
   // posteriors), so snapshots taken under one precision policy must never

@@ -62,7 +62,8 @@ struct NodeSnapshot {
   uint64_t round = 0;
   /// Transport clock at the cut (deliver_at stamps depend on it).
   uint64_t tick = 0;
-  /// Consecutive quiet rounds (convergence patience counter).
+  /// Formerly a convergence patience counter; nodes converge on the
+  /// first quiet round and always write 0. Kept so the format is stable.
   uint64_t quiet = 0;
   /// Global max posterior change of the last executed round.
   double previous_change = 1.0;

@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include "net/fault_injection.h"
 #include "net/network.h"
 #include "net/socket_transport.h"
 #include "pdms/transport.h"
@@ -122,8 +123,7 @@ TEST_P(ConcurrentTransportTest, ParallelSendersPreservePerSenderOrder) {
 
   // Senders 0..3 concurrently fan sequenced probes out to all peers while
   // two drainer threads concurrently empty disjoint halves of the
-  // mailboxes (allowed by the Transport contract). Probes are never
-  // dropped by the default-lossy configurations, so every message must
+  // mailboxes (allowed by the Transport contract). Every message must
   // come out exactly once, in per-sender order.
   std::vector<std::vector<std::vector<uint32_t>>> received(
       kPeers, std::vector<std::vector<uint32_t>>(kSenders));
@@ -226,14 +226,6 @@ INSTANTIATE_TEST_SUITE_P(
                                return std::make_unique<SimTransport>(
                                    peers, NetworkOptions{});
                              }},
-        TransportFactoryCase{"sim_lossy",
-                             [](size_t peers) -> std::unique_ptr<Transport> {
-                               NetworkOptions options;
-                               options.send_probability = 0.5;
-                               options.seed = 11;
-                               return std::make_unique<SimTransport>(peers,
-                                                                     options);
-                             }},
         TransportFactoryCase{"socket",
                              [](size_t peers) -> std::unique_ptr<Transport> {
                                auto transport =
@@ -244,6 +236,66 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<TransportFactoryCase>& info) {
       return std::string(info.param.label);
     });
+
+// --- Fault decorator under concurrent sends --------------------------------------
+
+TEST(FaultInjectingTransportConcurrencyTest, ConcurrentSendsAccountEveryEvent) {
+  // The decorator serializes its draws, reorder slot and delay queue
+  // behind one mutex while drainers empty the inner transport
+  // concurrently. Every event is accounted: what was not dropped is
+  // delivered, duplicates twice, reordered and delayed ones late.
+  constexpr size_t kPeers = 4;
+  constexpr size_t kSenders = 8;
+  constexpr size_t kPerSender = 1000;
+  FaultPlan plan;
+  plan.seed = 11;
+  plan.drop_rate = 0.3;
+  plan.duplicate_rate = 0.1;
+  plan.reorder_rate = 0.1;
+  plan.delay_ticks_max = 2;
+  FaultInjectingTransport transport(
+      std::make_unique<SimTransport>(kPeers, NetworkOptions{}), plan);
+  std::atomic<size_t> drained{0};
+  std::atomic<bool> stop{false};
+  std::thread drainer([&] {
+    while (!stop.load(std::memory_order_acquire)) {
+      for (PeerId p = 0; p < kPeers; ++p) {
+        drained.fetch_add(transport.Drain(p).size(),
+                          std::memory_order_relaxed);
+      }
+    }
+  });
+  std::vector<std::thread> senders;
+  for (size_t s = 0; s < kSenders; ++s) {
+    senders.emplace_back([&, s] {
+      for (size_t i = 0; i < kPerSender; ++i) {
+        BeliefMessage message;
+        message.AddGroup(0, FactorId{0x1, 0x2},
+                         {BeliefEntry{0, Belief::Unit()}});
+        transport.Send(static_cast<PeerId>(s % kPeers),
+                       static_cast<PeerId>((s + i) % kPeers), std::nullopt,
+                       std::move(message));
+      }
+    });
+  }
+  for (std::thread& sender : senders) sender.join();
+  stop.store(true, std::memory_order_release);
+  drainer.join();
+  // Quiescent cleanup: release held envelopes past the longest delay.
+  for (int tick = 0; tick < 4; ++tick) {
+    transport.AdvanceTick();
+    for (PeerId p = 0; p < kPeers; ++p) drained += transport.Drain(p).size();
+  }
+  EXPECT_FALSE(transport.HasPendingMessages());
+
+  const FaultStats faults = transport.fault_stats();
+  EXPECT_EQ(faults.events, kSenders * kPerSender);
+  EXPECT_GT(faults.dropped, 0u);
+  EXPECT_GT(faults.duplicated, 0u);
+  EXPECT_EQ(drained.load(), faults.events - faults.dropped + faults.duplicated);
+  const size_t belief = static_cast<size_t>(MessageKind::kBelief);
+  EXPECT_EQ(transport.stats().delivered[belief], drained.load());
+}
 
 }  // namespace
 }  // namespace pdms

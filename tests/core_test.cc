@@ -6,6 +6,7 @@
 #include "factor/exact.h"
 #include "factor/sum_product.h"
 #include "graph/topology.h"
+#include "net/fault_injection.h"
 #include "pdms/pdms.h"
 #include "util/rng.h"
 #include "util/string_util.h"
@@ -24,13 +25,15 @@ struct IntroPdms {
   Pdms pdms;
 };
 
-IntroPdms MakeIntro(EngineOptions options, uint64_t seed = 17) {
+IntroPdms MakeIntro(EngineOptions options, uint64_t seed = 17,
+                    PdmsBuilder::TransportFactory transport = nullptr) {
   IntroPdms intro;
   Rng rng(seed);
   const Digraph graph = topology::ExampleGraph(&intro.edges);
   options.probe_ttl = 5;
   PdmsBuilder builder;
   builder.WithOptions(options);
+  if (transport) builder.WithTransport(std::move(transport));
   for (NodeId p = 0; p < 4; ++p) {
     Schema schema(StrFormat("p%u", p + 1));
     for (size_t a = 0; a < kAttrs; ++a) {
@@ -460,18 +463,25 @@ TEST(EngineFaultTest, ConvergesUnderMessageLoss) {
   const ConvergenceReport clean = baseline.pdms.session().Converge(400);
   ASSERT_TRUE(clean.converged);
 
-  EngineOptions lossy;
-  lossy.network.send_probability = 0.5;
-  lossy.network.seed = 99;
-  IntroPdms dropped = MakeIntro(lossy);
+  // Half of every belief round's bundles are lost; discovery runs clean.
+  IntroPdms dropped = MakeIntro(reliable, 17, [](size_t peers,
+                                                 const EngineOptions&) {
+    return std::make_unique<FaultInjectingTransport>(
+        std::make_unique<SimTransport>(peers, NetworkOptions{}), FaultPlan{});
+  });
   dropped.pdms.session().Discover();
+  FaultPlan plan;
+  plan.seed = 99;
+  plan.drop_rate = 0.5;
+  static_cast<FaultInjectingTransport&>(dropped.pdms.transport())
+      .set_plan(plan);
   const ConvergenceReport noisy = dropped.pdms.session().Converge(2000);
   EXPECT_TRUE(noisy.converged);
   EXPECT_GT(noisy.rounds, clean.rounds);
   for (EdgeId e : baseline.pdms.graph().LiveEdges()) {
     for (AttributeId a = 0; a < kAttrs; ++a) {
       EXPECT_NEAR(dropped.pdms.Posterior(e, a), baseline.pdms.Posterior(e, a),
-                  1e-3);
+                  1e-6);
     }
   }
 }
@@ -521,7 +531,9 @@ TEST(EngineOverheadTest, RemoteMessagesRespectPaperBound) {
   for (PeerId p = 0; p < 4; ++p) {
     const Peer& peer = intro.pdms.peer(p);
     size_t actual_updates = 0;
-    for (const Outgoing& outgoing : peer.CollectOutgoingBeliefs()) {
+    std::vector<Outgoing> bundles;
+    peer.CollectOutgoingBeliefs(&bundles);
+    for (const Outgoing& outgoing : bundles) {
       actual_updates += std::get<BeliefMessage>(outgoing.payload).update_count();
     }
     EXPECT_LE(actual_updates, peer.RemoteMessageBound())

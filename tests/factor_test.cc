@@ -305,30 +305,6 @@ TEST(SumProductTest, SchedulesAgreeOnFixedPoint) {
   }
 }
 
-TEST(SumProductTest, MessageLossStillConverges) {
-  const FactorGraph graph = BuildIntroExample(0.8);
-  SumProductOptions baseline_options;
-  baseline_options.max_iterations = 300;
-  SumProductEngine baseline(graph, baseline_options);
-  const SumProductResult reference = baseline.Run();
-  ASSERT_TRUE(reference.converged);
-
-  SumProductOptions lossy_options;
-  lossy_options.max_iterations = 3000;
-  lossy_options.message_send_probability = 0.3;
-  lossy_options.seed = 9;
-  SumProductEngine lossy(graph, lossy_options);
-  const SumProductResult result = lossy.Run();
-  EXPECT_TRUE(result.converged);
-  // Same fixed point as the lossless run (Section 5.1.3: lost messages
-  // only slow convergence down, they do not change the result).
-  for (VarId v = 0; v < graph.variable_count(); ++v) {
-    EXPECT_NEAR(result.posteriors[v].ProbabilityCorrect(),
-                reference.posteriors[v].ProbabilityCorrect(), 1e-3);
-  }
-  EXPECT_GT(result.iterations, reference.iterations);
-}
-
 TEST(SumProductTest, TrajectoryRecordsEveryIteration) {
   const FactorGraph graph = BuildIntroExample(0.7);
   SumProductOptions options;

@@ -1,4 +1,5 @@
-// Fault-tolerance tests: deterministic fault injection, exactly-once
+// Fault-tolerance tests: deterministic fault injection, the engine's
+// converged verdict under engine-visible envelope loss, exactly-once
 // delivery over faulty links, tick-barrier and mark timeouts surfacing as
 // Status, forged-mark rejection, and graceful degradation (quarantine)
 // when a shard dies mid-run.
@@ -19,11 +20,14 @@
 #include <vector>
 
 #include "bench/bibliographic_pdms.h"
+#include "graph/topology.h"
 #include "gtest/gtest.h"
+#include "mapping/mapping_generator.h"
 #include "net/fault_injection.h"
 #include "net/network.h"
 #include "net/socket_transport.h"
 #include "node/pdms_node.h"
+#include "util/rng.h"
 
 namespace pdms {
 namespace {
@@ -65,6 +69,28 @@ TEST(FaultPlanTest, DrawsAreDeterministicAndAttemptSalted) {
   const FaultDecision none = DrawFaults(FaultPlan{}, 7, 3, 0);
   EXPECT_FALSE(none.drop || none.duplicate || none.reorder || none.corrupt ||
                none.kill_link || none.delay_ticks > 0);
+}
+
+TEST(FaultPlanTest, DropRateIsApproximatelyRespected) {
+  // FaultPlan is the one in-process loss model: over many belief sends
+  // through the decorator, the drop verdict fires at the configured rate
+  // and only the survivors reach the inner transport.
+  FaultPlan plan;
+  plan.seed = 77;
+  plan.drop_rate = 0.3;
+  FaultInjectingTransport transport(
+      std::make_unique<SimTransport>(2, NetworkOptions{}), plan);
+  constexpr uint64_t kMessages = 20000;
+  for (uint64_t i = 0; i < kMessages; ++i) {
+    BeliefMessage bundle;
+    bundle.AddGroup(0, FactorId{0x1, 0x2}, {BeliefEntry{0, Belief::Unit()}});
+    transport.Send(0, 1, std::nullopt, std::move(bundle));
+  }
+  const FaultStats faults = transport.fault_stats();
+  EXPECT_EQ(faults.events, kMessages);
+  EXPECT_NEAR(static_cast<double>(faults.dropped) / kMessages, 0.3, 0.02);
+  const size_t belief = static_cast<size_t>(MessageKind::kBelief);
+  EXPECT_EQ(transport.stats().sent[belief], kMessages - faults.dropped);
 }
 
 TEST(ByzantinePlanTest, ForgeryDrawsAreDeterministicAndColludersAgree) {
@@ -161,6 +187,74 @@ TEST(FaultInjectingTransportTest, ReplaysExactlyForASeed) {
     return delivered;
   };
   EXPECT_EQ(run(), run());
+}
+
+/// Every (live edge, attribute) posterior of a 200-peer symmetrized BA
+/// network (2-cycle evidence, as in the scale bench's fault sweep) after
+/// `Converge`, with `plan` armed on the belief rounds only.
+std::vector<double> FaultedBaPosteriors(const FaultPlan& plan,
+                                        ConvergenceReport* report) {
+  constexpr size_t kAttrs = 6;
+  Rng rng(2026 + 200);
+  Digraph graph = topology::BarabasiAlbert(200, 2, &rng);
+  topology::Symmetrize(&graph);
+  MappingNetworkOptions network_options;
+  network_options.attributes_per_schema = kAttrs;
+  network_options.error_rate = 0.2;
+  const SyntheticPdms synthetic =
+      BuildSyntheticPdms(graph, network_options, &rng);
+  EngineOptions options;
+  options.probe_ttl = 2;
+  options.closure_limits.min_cycle_length = 2;
+  options.closure_limits.max_cycle_length = 2;
+  options.closure_limits.max_path_length = 1;
+  Pdms pdms = PdmsBuilder::FromSynthetic(synthetic)
+                  .WithOptions(options)
+                  .WithTransport([](size_t peers, const EngineOptions&) {
+                    return std::make_unique<FaultInjectingTransport>(
+                        std::make_unique<SimTransport>(peers,
+                                                       NetworkOptions{}),
+                        FaultPlan{});
+                  })
+                  .Build()
+                  .value();
+  EXPECT_GT(pdms.session().Discover(), 0u);
+  static_cast<FaultInjectingTransport&>(pdms.transport()).set_plan(plan);
+  *report = pdms.session().Converge(400);
+  std::vector<double> posteriors;
+  for (EdgeId e : pdms.graph().LiveEdges()) {
+    for (AttributeId a = 0; a < kAttrs; ++a) {
+      posteriors.push_back(pdms.Posterior(e, a));
+    }
+  }
+  return posteriors;
+}
+
+TEST(FaultInjectingTransportTest, ConvergedVerdictHoldsUnderDropAndDuplicate) {
+  // A round whose bundles were all dropped is quiet without being
+  // converged. The verdict must wait until every belief link has been
+  // heard since the posteriors last moved, so "converged" under loss
+  // means the lossless fixpoint.
+  ConvergenceReport clean_report;
+  const std::vector<double> clean = FaultedBaPosteriors(FaultPlan{},
+                                                        &clean_report);
+  ASSERT_TRUE(clean_report.converged);
+
+  FaultPlan plan;
+  plan.seed = 2026021;
+  plan.drop_rate = 0.3;
+  plan.duplicate_rate = 0.15;
+  ConvergenceReport report;
+  const std::vector<double> faulted = FaultedBaPosteriors(plan, &report);
+  EXPECT_TRUE(report.converged);
+  ASSERT_EQ(faulted.size(), clean.size());
+  if (report.converged) {
+    for (size_t i = 0; i < clean.size(); ++i) {
+      ASSERT_NEAR(faulted[i], clean[i], 1e-6)
+          << "posterior " << i << " reported converged after "
+          << report.rounds << " rounds";
+    }
+  }
 }
 
 // --- Exactly-once delivery over faulty links ------------------------------------

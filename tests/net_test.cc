@@ -280,53 +280,6 @@ TEST(SimTransportTest, FifoWithinPeer) {
   }
 }
 
-TEST(SimTransportTest, LossDropsBeliefMessagesOnly) {
-  NetworkOptions options;
-  options.send_probability = 0.0;
-  options.lose_belief_messages_only = true;
-  options.seed = 5;
-  SimTransport network(2, options);
-  network.Send(0, 1, std::nullopt, MakeBelief());
-  network.Send(0, 1, std::nullopt, ProbeMessage{});
-  network.AdvanceTick();
-  const auto due = network.Drain(1);
-  ASSERT_EQ(due.size(), 1u);
-  EXPECT_TRUE(std::holds_alternative<ProbeMessage>(due[0].payload));
-  EXPECT_EQ(network.stats().dropped[static_cast<size_t>(MessageKind::kBelief)],
-            1u);
-  // Byte accounting excludes dropped envelopes: only the probe's bytes
-  // (and none of the belief bundle's fingerprint bytes) are recorded.
-  EXPECT_EQ(network.stats().bytes_sent, ApproximateWireSize(ProbeMessage{}));
-  EXPECT_EQ(network.stats().key_bytes_sent, 0u);
-}
-
-TEST(SimTransportTest, LossCanAffectAllTraffic) {
-  NetworkOptions options;
-  options.send_probability = 0.0;
-  options.lose_belief_messages_only = false;
-  SimTransport network(2, options);
-  network.Send(0, 1, std::nullopt, ProbeMessage{});
-  network.AdvanceTick();
-  EXPECT_TRUE(network.Drain(1).empty());
-}
-
-TEST(SimTransportTest, LossRateIsApproximatelyRespected) {
-  NetworkOptions options;
-  options.send_probability = 0.3;
-  options.seed = 77;
-  SimTransport network(2, options);
-  const int kMessages = 20000;
-  for (int i = 0; i < kMessages; ++i) {
-    network.Send(0, 1, std::nullopt, MakeBelief());
-  }
-  const double delivered_fraction =
-      1.0 - static_cast<double>(
-                network.stats().dropped[static_cast<size_t>(
-                    MessageKind::kBelief)]) /
-                kMessages;
-  EXPECT_NEAR(delivered_fraction, 0.3, 0.02);
-}
-
 TEST(SimTransportTest, StatsCountPerKind) {
   SimTransport network(3, NetworkOptions{});
   network.Send(0, 1, std::nullopt, MakeBelief());
@@ -797,23 +750,6 @@ TEST(FrameCodecTest, DataFramePayloadConsumesTheBodyExactly) {
   FrameAssembler assembler;
   assembler.Feed(bytes);
   EXPECT_FALSE(assembler.Next().ok());
-}
-
-TEST(SimTransportTest, DeterministicLossForSeed) {
-  auto run = [] {
-    NetworkOptions options;
-    options.send_probability = 0.5;
-    options.seed = 9;
-    SimTransport network(2, options);
-    std::vector<bool> delivered;
-    for (int i = 0; i < 100; ++i) {
-      network.Send(0, 1, std::nullopt, MakeBelief());
-      network.AdvanceTick();
-      delivered.push_back(!network.Drain(1).empty());
-    }
-    return delivered;
-  };
-  EXPECT_EQ(run(), run());
 }
 
 }  // namespace

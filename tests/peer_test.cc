@@ -168,7 +168,8 @@ TEST_F(PeerTest, AbsorbIgnoresUnknownFactorAndOwnVariables) {
 TEST_F(PeerTest, CollectOutgoingBeliefsTargetsOtherOwners) {
   peers_[0]->IngestFeedback(F1Announcement());
   peers_[0]->ComputeRound();
-  const auto outgoing = peers_[0]->CollectOutgoingBeliefs();
+  std::vector<Outgoing> outgoing;
+  peers_[0]->CollectOutgoingBeliefs(&outgoing);
   // Other owners of f1's members: peers 1, 2, 3.
   ASSERT_EQ(outgoing.size(), 3u);
   std::set<PeerId> recipients;
@@ -191,7 +192,9 @@ TEST_F(PeerTest, CollectOutgoingBeliefsTargetsOtherOwners) {
 /// The bundle peers_[from] would send to `to`, or a default-constructed
 /// message when no route exists.
 BeliefMessage BundleFromTo(Peer& from, PeerId to) {
-  for (const Outgoing& message : from.CollectOutgoingBeliefs()) {
+  std::vector<Outgoing> outgoing;
+  from.CollectOutgoingBeliefs(&outgoing);
+  for (const Outgoing& message : outgoing) {
     if (message.to == to) return std::get<BeliefMessage>(message.payload);
   }
   return BeliefMessage{};

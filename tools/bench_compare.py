@@ -27,6 +27,12 @@ demotion recall >= 0.95 and honest_posterior_delta <= 0.25, and the
 clean guarded row must keep false_positive_rate < 0.01. A current file
 that *dropped* the section while the baseline had it is an error — the
 resilience sweep must not silently disappear.
+
+The `fault_runs` section (schema v4+) is re-checked the same way: every
+CURRENT row that reports `converged` must have landed within
+max_posterior_error <= 1e-6 of the fault-free run (a converged verdict
+under loss means the lossless fixpoint), and a current file that dropped
+the section while the baseline had it is an error.
 """
 
 import argparse
@@ -95,6 +101,39 @@ def check_adversary_runs(base_data, cur_data):
     return failures
 
 
+CONVERGED_ERROR_CEILING = 1e-6
+
+
+def check_fault_runs(base_data, cur_data):
+    """A converged verdict under injected faults must mean the fixpoint.
+
+    Returns the number of failures (0 = every converged row is within the
+    ceiling or the section is legitimately absent from both files).
+    """
+    base_runs = base_data.get("fault_runs")
+    cur_runs = cur_data.get("fault_runs")
+    if cur_runs is None:
+        if base_runs:
+            print("[FAIL] baseline has fault_runs but current dropped the "
+                  "section")
+            return 1
+        return 0
+
+    failures = 0
+    for run in cur_runs:
+        if not run.get("converged", False):
+            continue
+        error = run.get("max_posterior_error", 0.0)
+        verdict = "FAIL" if error > CONVERGED_ERROR_CEILING else "ok"
+        print(f"[{verdict}] fault run drop={run.get('drop_rate', 0.0):.2f} "
+              f"dup={run.get('duplicate_rate', 0.0):.2f} "
+              f"reorder={run.get('reorder_rate', 0.0):.2f}: converged with "
+              f"max posterior error {error:.2e} "
+              f"(<= {CONVERGED_ERROR_CEILING:.0e} required)")
+        failures += verdict == "FAIL"
+    return failures
+
+
 def regression(metric, base_value, cur_value):
     """Relative regression of `cur_value` vs `base_value` (positive = worse)."""
     if base_value == 0:
@@ -155,12 +194,16 @@ def main():
               f"(regression {delta:+.1%}, tolerance +{args.tolerance:.0%})")
 
     adversary_failures = check_adversary_runs(base_data, cur_data)
-    if failures or adversary_failures:
+    fault_failures = check_fault_runs(base_data, cur_data)
+    if failures or adversary_failures or fault_failures:
         if failures:
             print(f"{failures}/{len(matched)} configs regressed on "
                   f"'{args.metric}'")
         if adversary_failures:
             print(f"{adversary_failures} Byzantine-resilience floors broken")
+        if fault_failures:
+            print(f"{fault_failures} fault runs converged away from the "
+                  f"fault-free fixpoint")
         return 1
     print(f"all {len(matched)} matched configs within tolerance")
     return 0
