@@ -12,8 +12,13 @@
 // level must match the serial run to 1e-12 (they are in fact bitwise
 // identical — see docs/PERFORMANCE.md for why).
 //
-// Each (topology, peers) cell is additionally rerun serially with the
-// default adaptive value-error budget (--value-budget, 1e-3 unless
+// BA cells also get exact-wire serial rows at probe TTL 3 and 4 (cycles of
+// up to 3 and 4 mappings), the paper's long-cycle regime, whose discovery
+// floods are far larger than the 2-cycle rows'. Every row records the probe
+// messages its discovery sent.
+//
+// Each (topology, peers) 2-cycle cell is additionally rerun serially with
+// the default adaptive value-error budget (--value-budget, 1e-3 unless
 // overridden) so the quantized wire format's bytes/round and posterior
 // accuracy delta land in the same JSON; at 10k peers the run fails unless
 // quantization cuts bytes/round by at least 4x.
@@ -30,9 +35,9 @@
 // clean run's false-positive demotions (< 1%).
 //
 // --smoke (CI mode) restricts to 1k peers, parallelism 1/2, 3 measured
-// rounds: fast enough for every PR, still end-to-end through discovery,
-// parallel rounds, transport accounting and the JSON writer. The 200-peer
-// fault sweep runs in full either way.
+// rounds and only the TTL-4 long-cycle row: fast enough for every PR, still
+// end-to-end through discovery, parallel rounds, transport accounting and
+// the JSON writer. The 200-peer fault sweep runs in full either way.
 // --require-cores=N exits 3 up front when the host has fewer than N
 // hardware threads (CI guard for the multi-core perf job);
 // --require-speedup=P:X fails the run unless the best exact parallelism-P
@@ -44,6 +49,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -67,6 +73,8 @@ struct BenchResult {
   size_t peers = 0;
   size_t edges = 0;
   size_t factors = 0;
+  /// Probe TTL, also the longest cycle (in mappings) the row discovers.
+  uint32_t probe_ttl = 2;
   size_t parallelism = 0;
   size_t rounds = 0;
   /// Per-value error budget of this row (0 = exact raw doubles). Quantized
@@ -74,6 +82,12 @@ struct BenchResult {
   /// and are held to the budget instead of the 1e-12 determinism bar.
   double value_budget = 0.0;
   double discover_seconds = 0.0;
+  /// Probe messages sent by `Discover` (deterministic for a workload).
+  uint64_t discover_probe_messages = 0;
+  /// Process peak RSS (VmHWM) when this row's discovery finished. Rows run
+  /// one after another in one process, so this bounds the row's discovery
+  /// peak from above.
+  double rss_high_water_mb = 0.0;
   double seconds = 0.0;
   double rounds_per_sec = 0.0;
   double belief_updates_per_round = 0.0;
@@ -144,7 +158,18 @@ double Seconds(std::chrono::steady_clock::time_point begin,
   return std::chrono::duration<double>(end - begin).count();
 }
 
-EngineOptions ScaleOptions(size_t parallelism) {
+/// Peak resident set size of this process so far, in MB (0 off Linux).
+double RssHighWaterMb() {
+  std::ifstream status("/proc/self/status");
+  for (std::string line; std::getline(status, line);) {
+    if (line.rfind("VmHWM:", 0) == 0) {
+      return std::strtod(line.c_str() + 6, nullptr) / 1024.0;
+    }
+  }
+  return 0.0;
+}
+
+EngineOptions ScaleOptions(size_t parallelism, uint32_t probe_ttl = 2) {
   EngineOptions options;
   // Deliberately keeps the default min_peers_per_lane: the bench measures
   // the engine as shipped, so parallelism-p rows below the fan-out
@@ -152,9 +177,10 @@ EngineOptions ScaleOptions(size_t parallelism) {
   // speedup_vs_serial ~= 1.0 is the small-scale fix, not a pool number.
   // Length-2 cycles (a mapping and its inverse) are the evidence unit of
   // this workload: probe two hops, accept 2-cycles, skip parallel paths.
-  options.probe_ttl = 2;
+  // Longer TTLs accept every cycle of up to `probe_ttl` mappings.
+  options.probe_ttl = probe_ttl;
   options.closure_limits.min_cycle_length = 2;
-  options.closure_limits.max_cycle_length = 2;
+  options.closure_limits.max_cycle_length = probe_ttl;
   options.closure_limits.max_path_length = 1;
   options.parallelism = parallelism;
   return options;
@@ -185,17 +211,18 @@ BenchResult RunConfig(const std::string& topology, const SyntheticPdms& workload
                       size_t parallelism, size_t rounds,
                       const std::vector<double>* serial_sample,
                       std::vector<double>* sample_out,
-                      double value_budget = 0.0) {
+                      double value_budget = 0.0, uint32_t probe_ttl = 2) {
   BenchResult result;
   result.topology = topology;
   result.peers = workload.graph.node_count();
   result.edges = workload.graph.edge_count();
+  result.probe_ttl = probe_ttl;
   result.parallelism = parallelism;
   result.rounds = rounds;
   result.value_budget = value_budget;
 
   Pdms pdms = PdmsBuilder::FromSynthetic(workload)
-                  .WithOptions(ScaleOptions(parallelism))
+                  .WithOptions(ScaleOptions(parallelism, probe_ttl))
                   .WithValueErrorBudget(value_budget)
                   .Build()
                   .value();
@@ -205,6 +232,9 @@ BenchResult RunConfig(const std::string& topology, const SyntheticPdms& workload
   result.factors = session.Discover();
   result.discover_seconds =
       Seconds(discover_begin, std::chrono::steady_clock::now());
+  result.discover_probe_messages =
+      pdms.transport().stats().sent[static_cast<size_t>(MessageKind::kProbe)];
+  result.rss_high_water_mb = RssHighWaterMb();
 
   // Warm-up: the first exchange populates remote messages, and the next
   // two complete the alias negotiation (binding -> ack -> bare-alias), so
@@ -494,6 +524,9 @@ void WriteJson(const std::string& path, const std::vector<BenchResult>& results,
   }
   std::fprintf(out, "{\n");
   std::fprintf(out, "  \"bench\": \"scale_10k\",\n");
+  // v7: + probe_ttl / discover_probe_messages / rss_high_water_mb; BA
+  //     cells add exact serial rows at probe_ttl 3 and 4 (cycles of up to
+  //     3 and 4 mappings), matched on probe_ttl by tools/bench_compare.py.
   // v6: + adversary_runs — guarded runs under seeded Byzantine plans
   //     (lying / equivocating peers), scored on honest-subnetwork
   //     posterior drift, lying-link demotion recall and the clean-run
@@ -511,7 +544,7 @@ void WriteJson(const std::string& path, const std::vector<BenchResult>& results,
   //     the 3-step negotiation warm-up.
   // v2: + key_bytes_per_round (FactorId fingerprint bytes on the wire)
   //     + round_seconds_p50 / round_seconds_p95 per-round latency.
-  std::fprintf(out, "  \"schema_version\": 6,\n");
+  std::fprintf(out, "  \"schema_version\": 7,\n");
   std::fprintf(out, "  \"smoke\": %s,\n", smoke ? "true" : "false");
   std::fprintf(out, "  \"seed\": %llu,\n",
                static_cast<unsigned long long>(kSeed));
@@ -522,9 +555,10 @@ void WriteJson(const std::string& path, const std::vector<BenchResult>& results,
     std::fprintf(
         out,
         "    {\"topology\": \"%s\", \"peers\": %zu, \"edges\": %zu, "
-        "\"factors\": %zu, \"parallelism\": %zu, \"rounds\": %zu, "
-        "\"value_budget\": %.1e, "
-        "\"discover_seconds\": %.6f, \"seconds\": %.6f, "
+        "\"factors\": %zu, \"probe_ttl\": %u, \"parallelism\": %zu, "
+        "\"rounds\": %zu, \"value_budget\": %.1e, "
+        "\"discover_seconds\": %.6f, \"discover_probe_messages\": %llu, "
+        "\"rss_high_water_mb\": %.1f, \"seconds\": %.6f, "
         "\"rounds_per_sec\": %.3f, \"belief_updates_per_round\": %.1f, "
         "\"bytes_per_round\": %.1f, \"key_bytes_per_round\": %.1f, "
         "\"alias_bytes_per_round\": %.1f, \"value_bytes_per_round\": %.1f, "
@@ -532,8 +566,10 @@ void WriteJson(const std::string& path, const std::vector<BenchResult>& results,
         "\"round_seconds_p50\": %.6f, \"round_seconds_p95\": %.6f, "
         "\"speedup_vs_serial\": %.3f, "
         "\"max_posterior_diff_vs_serial\": %.3e}%s\n",
-        r.topology.c_str(), r.peers, r.edges, r.factors, r.parallelism,
-        r.rounds, r.value_budget, r.discover_seconds, r.seconds,
+        r.topology.c_str(), r.peers, r.edges, r.factors, r.probe_ttl,
+        r.parallelism, r.rounds, r.value_budget, r.discover_seconds,
+        static_cast<unsigned long long>(r.discover_probe_messages),
+        r.rss_high_water_mb, r.seconds,
         r.rounds_per_sec, r.belief_updates_per_round, r.bytes_per_round,
         r.key_bytes_per_round, r.alias_bytes_per_round,
         r.value_bytes_per_round, r.header_bytes_per_round,
@@ -607,6 +643,7 @@ int Main(int argc, char** argv) {
   std::vector<size_t> peer_counts = {1000, 5000, 10000};
   std::vector<size_t> parallelism_levels = {1, 2, 4, 8};
   std::vector<std::string> topologies = {"ba", "er"};
+  std::vector<uint32_t> long_cycle_ttls = {3, 4};
   size_t rounds = 10;
   bool run_faults = true;
   bool run_adversaries = true;
@@ -685,6 +722,7 @@ int Main(int argc, char** argv) {
   if (smoke) {
     peer_counts = {1000};
     parallelism_levels = {1, 2};
+    long_cycle_ttls = {4};
     rounds = 3;
   }
 
@@ -766,6 +804,23 @@ int Main(int argc, char** argv) {
           wire_reduction_ok = false;
         }
         results.push_back(std::move(quantized));
+      }
+
+      // Long-cycle rows: exact wire, serial, BA only.
+      if (topology != "ba") continue;
+      for (uint32_t ttl : long_cycle_ttls) {
+        std::vector<double> sample;
+        BenchResult result = RunConfig(topology, workload, 1, rounds, nullptr,
+                                       &sample, 0.0, ttl);
+        std::printf(
+            "%s n=%-6zu cycles<=%u factors=%-7zu p=1  discover %.2f s, "
+            "%llu probes, rss hwm %.0f MB  %8.2f rounds/s  %.1f MB/round\n",
+            topology.c_str(), result.peers, ttl, result.factors,
+            result.discover_seconds,
+            static_cast<unsigned long long>(result.discover_probe_messages),
+            result.rss_high_water_mb, result.rounds_per_sec,
+            result.bytes_per_round / 1e6);
+        results.push_back(std::move(result));
       }
     }
   }

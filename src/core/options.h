@@ -123,7 +123,13 @@ struct EngineOptions {
   /// Forward queries through mappings that have no feedback evidence yet
   /// (standard-PDMS bootstrap behaviour; ⊥ attributes still block).
   bool forward_without_evidence = true;
-  /// TTL for closure-discovery probes (Section 3.2.1).
+  /// TTL for closure-discovery probes (Section 3.2.1). A probe is
+  /// forwarded only where it can still close something: to its origin when
+  /// that closes a cycle within `closure_limits` rooted at the route's
+  /// minimum peer id, to any peer while the route is a parallel-path
+  /// candidate (at most `max_path_length` mappings), and otherwise only to
+  /// peers above the origin on a route that has not passed a smaller id,
+  /// while hops and cycle length remain.
   uint32_t probe_ttl = 6;
   /// Structural limits honored during discovery.
   ClosureFinderOptions closure_limits;

@@ -1208,10 +1208,41 @@ void Peer::RestoreImage(Image&& image) {
 
 // --- Probes & discovery --------------------------------------------------------
 
+namespace {
+
+/// Whether `next` could still act on a probe from `origin` that reaches it
+/// `length` hops long with `ttl` hops left, `origin_is_min` saying that no
+/// id on the route before `next` is below the origin. Mirrors the checks
+/// `HandleProbe` runs on arrival, so pruning by it never loses a closure:
+/// - at its origin the probe only counts if it closes a cycle of allowed
+///   length rooted at the route's minimum id (the canonical-root rule);
+/// - elsewhere a route of at most `max_path_length` hops is cached and
+///   paired for parallel paths;
+/// - a longer route only matters if it can still come back to its origin
+///   as a canonical cycle: `next` forwards it (hops left, room for one more
+///   mapping) and is not below the origin itself.
+bool ProbeCanClose(const ClosureFinderOptions& limits, PeerId origin,
+                   bool origin_is_min, uint32_t ttl, size_t length,
+                   NodeId next) {
+  if (next == origin) {
+    return origin_is_min && length >= limits.min_cycle_length &&
+           length <= limits.max_cycle_length;
+  }
+  if (length <= limits.max_path_length) return true;
+  return origin_is_min && next > origin && ttl > 0 &&
+         length < limits.max_cycle_length;
+}
+
+}  // namespace
+
 std::vector<Outgoing> Peer::StartProbes() const {
   std::vector<Outgoing> out;
   if (options_->probe_ttl == 0) return out;
   for (const auto& [edge, mapping] : mappings_) {
+    if (!ProbeCanClose(options_->closure_limits, id_, /*origin_is_min=*/true,
+                       options_->probe_ttl - 1, 1, graph_->edge(edge).dst)) {
+      continue;
+    }
     ProbeMessage probe;
     probe.origin = id_;
     probe.ttl = options_->probe_ttl - 1;
@@ -1425,17 +1456,25 @@ std::vector<Outgoing> Peer::HandleProbe(const ProbeMessage& probe) {
     if (cache.size() < options_->max_cached_probes) cache.push_back(probe);
   }
 
-  // Forward (flooding with TTL, simple routes only).
+  // Forward (flooding with TTL, simple routes only) to the neighbors that
+  // could still act on the probe.
   const size_t max_route = std::max(limits.max_cycle_length,
                                     limits.max_path_length);
   if (probe.ttl == 0 || probe.route.size() >= max_route) return out;
   const std::vector<NodeId> visited = RouteNodes(probe.route);
+  const bool origin_is_min =
+      std::all_of(visited.begin(), visited.end(),
+                  [&](NodeId node) { return node >= probe.origin; });
   for (const auto& [edge, mapping] : mappings_) {
     const NodeId next = graph_->edge(edge).dst;
     // Simple routes: never revisit an interior node; returning to the
     // origin is allowed (that closes a cycle).
     if (next != probe.origin &&
         std::find(visited.begin(), visited.end(), next) != visited.end()) {
+      continue;
+    }
+    if (!ProbeCanClose(limits, probe.origin, origin_is_min, probe.ttl - 1,
+                       probe.route.size() + 1, next)) {
       continue;
     }
     ProbeMessage forwarded = probe;

@@ -256,11 +256,15 @@ class Peer {
 
   // --- Probes & discovery -----------------------------------------------------
 
-  /// Emits this peer's initial probes (one per outgoing mapping).
+  /// Emits this peer's initial probes: one per outgoing mapping whose
+  /// receiver could act on it (see `HandleProbe`).
   std::vector<Outgoing> StartProbes() const;
 
   /// Handles an arriving probe: may complete a cycle, detect parallel
-  /// paths (announcing feedback to member owners), and forward the probe.
+  /// paths (announcing feedback to member owners), and forward the probe
+  /// to the neighbors that could still act on it (see
+  /// `EngineOptions::probe_ttl`). The checks on arrival do not assume the
+  /// sender pruned.
   std::vector<Outgoing> HandleProbe(const ProbeMessage& probe);
 
   // --- Queries ----------------------------------------------------------------

@@ -1,6 +1,6 @@
 #include "util/logging.h"
 
-#include <iostream>
+#include <cstdio>
 
 namespace pdms {
 
@@ -25,7 +25,12 @@ Logger& Logger::Get() {
 
 void Logger::Log(LogLevel level, const std::string& message) {
   if (!Enabled(level)) return;
-  std::cerr << "[" << LogLevelName(level) << "] " << message << "\n";
+  const std::string_view name = LogLevelName(level);
+  std::string line;
+  line.reserve(name.size() + message.size() + 4);
+  line.append("[").append(name).append("] ").append(message).append("\n");
+  // One fwrite holds stderr's stream lock for the whole line.
+  std::fwrite(line.data(), 1, line.size(), stderr);
 }
 
 }  // namespace pdms

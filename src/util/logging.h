@@ -1,6 +1,7 @@
 #ifndef PDMS_UTIL_LOGGING_H_
 #define PDMS_UTIL_LOGGING_H_
 
+#include <atomic>
 #include <cstdint>
 #include <sstream>
 #include <string>
@@ -15,26 +16,32 @@ std::string_view LogLevelName(LogLevel level);
 /// Minimal leveled logger writing to stderr.
 ///
 /// The library logs sparingly (topology construction summaries, convergence
-/// warnings); simulations stay silent at the default `kWarning` threshold so
-/// that benchmark output is clean. Not thread-safe by design — the simulator
-/// is single-threaded.
+/// warnings, rejected messages); simulations stay silent at the default
+/// `kWarning` threshold so that benchmark output is clean. Thread-safe:
+/// rejections are logged from the engine's round lanes and from
+/// `PdmsNode`'s socket thread, so each line goes out in one write and
+/// concurrent lines never interleave.
 class Logger {
  public:
   /// Global logger instance.
   static Logger& Get();
 
   /// Messages below `level` are discarded.
-  void set_min_level(LogLevel level) { min_level_ = level; }
-  LogLevel min_level() const { return min_level_; }
+  void set_min_level(LogLevel level) {
+    min_level_.store(level, std::memory_order_relaxed);
+  }
+  LogLevel min_level() const {
+    return min_level_.load(std::memory_order_relaxed);
+  }
 
   /// Emits one line: "[LEVEL] message".
   void Log(LogLevel level, const std::string& message);
 
-  bool Enabled(LogLevel level) const { return level >= min_level_; }
+  bool Enabled(LogLevel level) const { return level >= min_level(); }
 
  private:
   Logger() = default;
-  LogLevel min_level_ = LogLevel::kWarning;
+  std::atomic<LogLevel> min_level_{LogLevel::kWarning};
 };
 
 /// Stream-style log statement builder; emits on destruction.

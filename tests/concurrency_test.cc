@@ -1,13 +1,17 @@
 // Concurrency layer tests: the work-stealing ThreadPool the engine fans
 // rounds out on, and the thread-safety contract of the bundled Transport
-// implementations (sharded mailboxes, atomic stats). The transport tests
-// are written to run meaningfully under ThreadSanitizer — CI builds this
-// binary with -fsanitize=thread and any lock misuse fails the job.
+// implementations (sharded mailboxes, atomic stats), and the logger those
+// threads share. The transport tests are written to run meaningfully under
+// ThreadSanitizer — CI builds this binary with -fsanitize=thread and any
+// lock misuse fails the job.
 
 #include <atomic>
 #include <chrono>
+#include <map>
 #include <memory>
 #include <numeric>
+#include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -17,6 +21,8 @@
 #include "net/network.h"
 #include "net/socket_transport.h"
 #include "pdms/transport.h"
+#include "util/logging.h"
+#include "util/string_util.h"
 #include "util/thread_pool.h"
 
 namespace pdms {
@@ -295,6 +301,38 @@ TEST(FaultInjectingTransportConcurrencyTest, ConcurrentSendsAccountEveryEvent) {
   EXPECT_EQ(drained.load(), faults.events - faults.dropped + faults.duplicated);
   const size_t belief = static_cast<size_t>(MessageKind::kBelief);
   EXPECT_EQ(transport.stats().delivered[belief], drained.load());
+}
+
+// --- Logger -------------------------------------------------------------------
+
+TEST(LoggerConcurrencyTest, ConcurrentLinesArriveIntact) {
+  constexpr size_t kThreads = 8;
+  constexpr size_t kLinesPerThread = 200;
+  // Long lines, so a line written in pieces would interleave visibly.
+  const std::string padding(120, '.');
+  testing::internal::CaptureStderr();
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([t, &padding] {
+      for (size_t i = 0; i < kLinesPerThread; ++i) {
+        PDMS_LOG_ERROR << "thread " << t << " line " << i << " " << padding;
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  const std::string captured = testing::internal::GetCapturedStderr();
+
+  std::map<std::string, size_t> seen;
+  std::istringstream lines(captured);
+  for (std::string line; std::getline(lines, line);) ++seen[line];
+  ASSERT_EQ(seen.size(), kThreads * kLinesPerThread);
+  for (size_t t = 0; t < kThreads; ++t) {
+    for (size_t i = 0; i < kLinesPerThread; ++i) {
+      const std::string expected =
+          StrFormat("[ERROR] thread %zu line %zu %s", t, i, padding.c_str());
+      EXPECT_EQ(seen[expected], 1u) << expected;
+    }
+  }
 }
 
 }  // namespace

@@ -1,10 +1,13 @@
 #include <memory>
+#include <numeric>
 #include <set>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "factor/exact.h"
 #include "factor/sum_product.h"
+#include "graph/closure.h"
 #include "graph/topology.h"
 #include "net/fault_injection.h"
 #include "pdms/pdms.h"
@@ -129,6 +132,99 @@ TEST(EngineDiscoveryTest, ClosureLimitsCapDiscovery) {
   const size_t factors = capped_intro.pdms.session().Discover();
   // Only f2 (length 3) and f3 (paths of length 1 and 2) survive the caps.
   EXPECT_EQ(factors, 2 * kAttrs);
+}
+
+/// `network` with peer ids and edge order permuted by `seed`.
+SyntheticPdms Renumbered(const SyntheticPdms& network, uint64_t seed) {
+  Rng rng(seed);
+  auto shuffle = [&rng](auto* values) {
+    for (size_t i = values->size(); i > 1; --i) {
+      std::swap((*values)[i - 1], (*values)[rng.NextUint64() % i]);
+    }
+  };
+  const size_t peers = network.graph.node_count();
+  std::vector<NodeId> label(peers);
+  std::iota(label.begin(), label.end(), NodeId{0});
+  shuffle(&label);
+  std::vector<EdgeId> order = network.graph.LiveEdges();
+  shuffle(&order);
+  SyntheticPdms renumbered;
+  renumbered.graph = Digraph(peers);
+  renumbered.schemas.resize(peers);
+  for (NodeId p = 0; p < peers; ++p) {
+    renumbered.schemas[label[p]] = network.schemas[p];
+  }
+  for (EdgeId e : order) {
+    const Edge& edge = network.graph.edge(e);
+    EXPECT_TRUE(renumbered.graph.AddEdge(label[edge.src], label[edge.dst]).ok());
+    renumbered.mappings.push_back(network.mappings[e]);
+    renumbered.ground_truth.push_back(network.ground_truth[e]);
+  }
+  return renumbered;
+}
+
+/// True if every attribute's chain around `cycle` hits ⊥: such a cycle
+/// yields only neutral feedback, hence no factor.
+bool AllNeutral(const SyntheticPdms& network, const Closure& cycle) {
+  const size_t attributes = network.schemas[cycle.source].size();
+  for (AttributeId a = 0; a < attributes; ++a) {
+    std::optional<AttributeId> image = a;
+    for (EdgeId e : cycle.edges) {
+      if (!image.has_value()) break;
+      image = network.mappings[e].Apply(*image);
+    }
+    if (image.has_value()) return false;
+  }
+  return true;
+}
+
+// Probe forwarding only skips hops that can close nothing: the flood must
+// still find every cycle the centralized enumeration finds, in the
+// generated numbering and in any other.
+TEST(EngineDiscoveryTest, ProbeFloodFindsEveryDirectedCycle) {
+  for (uint64_t seed : {1, 2, 3}) {
+    Rng rng(seed);
+    Digraph graph = topology::BarabasiAlbert(60, 2, &rng);
+    topology::Symmetrize(&graph);
+    MappingNetworkOptions network_options;
+    network_options.attributes_per_schema = 4;
+    network_options.error_rate = 0.2;
+    network_options.null_rate = 0.1;
+    const SyntheticPdms generated =
+        BuildSyntheticPdms(graph, network_options, &rng);
+    for (const SyntheticPdms& network :
+         {generated, Renumbered(generated, seed * 977)}) {
+      EngineOptions options;
+      options.probe_ttl = 4;
+      options.closure_limits.min_cycle_length = 2;
+      options.closure_limits.max_cycle_length = 4;
+      options.closure_limits.max_path_length = 1;
+      Result<Pdms> built =
+          PdmsBuilder::FromSynthetic(network).WithOptions(options).Build();
+      ASSERT_TRUE(built.ok()) << built.status().ToString();
+      Pdms pdms = std::move(built).value();
+      pdms.session().Discover();
+
+      std::set<std::vector<EdgeId>> discovered;
+      for (NodeId p = 0; p < network.graph.node_count(); ++p) {
+        for (const Peer::ReplicaView& replica : pdms.peer(p).ReplicaViews()) {
+          ASSERT_EQ(replica.kind, Closure::Kind::kCycle);
+          std::vector<EdgeId> edges;
+          for (const MappingVarKey& member : replica.members) {
+            edges.push_back(member.edge);
+          }
+          discovered.insert(std::move(edges));
+        }
+      }
+      std::set<std::vector<EdgeId>> expected;
+      for (const Closure& cycle :
+           FindDirectedCycles(network.graph, options.closure_limits)) {
+        if (!AllNeutral(network, cycle)) expected.insert(cycle.edges);
+      }
+      EXPECT_FALSE(expected.empty());
+      EXPECT_EQ(discovered, expected) << "seed " << seed;
+    }
+  }
 }
 
 // --- Inference ----------------------------------------------------------------

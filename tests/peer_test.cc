@@ -645,6 +645,120 @@ TEST_F(PeerTest, BrokenChainYieldsNeutralFeedback) {
   EXPECT_EQ(announcement.feedback[0].sign, FeedbackSign::kPositive);
 }
 
+// --- Probe forwarding ----------------------------------------------------------
+
+/// Peers of the complete digraph on five peers (identity mappings), probing
+/// with TTL 4 for cycles of 2–4 mappings and parallel paths of single
+/// mappings only.
+class ProbeForwardingTest : public ::testing::Test {
+ protected:
+  static constexpr NodeId kPeers = 5;
+
+  ProbeForwardingTest() : graph_(kPeers) {
+    options_.probe_ttl = 4;
+    options_.closure_limits.min_cycle_length = 2;
+    options_.closure_limits.max_cycle_length = 4;
+    options_.closure_limits.max_path_length = 1;
+    for (NodeId p = 0; p < kPeers; ++p) {
+      Schema schema(StrFormat("p%u", p));
+      for (size_t a = 0; a < kAttrs; ++a) {
+        EXPECT_TRUE(schema.AddAttribute(StrFormat("a%zu", a)).ok());
+      }
+      peers_.push_back(std::make_unique<Peer>(p, std::move(schema), &graph_,
+                                              &options_));
+    }
+    Rng rng(5);
+    for (NodeId p = 0; p < kPeers; ++p) {
+      for (NodeId q = 0; q < kPeers; ++q) {
+        if (p == q) continue;
+        edge_[p][q] = graph_.AddEdge(p, q).value();
+        EXPECT_TRUE(peers_[p]
+                        ->AddMapping(edge_[p][q],
+                                     MakeConceptMapping(StrFormat("m%u%u", p, q),
+                                                        kAttrs, {}, &rng))
+                        .ok());
+      }
+    }
+  }
+
+  /// A probe that has travelled the peer sequence `nodes` (origin first)
+  /// with `ttl` hops left.
+  ProbeMessage Probe(const std::vector<NodeId>& nodes, uint32_t ttl) const {
+    ProbeMessage probe;
+    probe.origin = nodes.front();
+    probe.ttl = ttl;
+    for (size_t i = 1; i < nodes.size(); ++i) {
+      probe.route.push_back(edge_[nodes[i - 1]][nodes[i]]);
+      std::vector<std::optional<AttributeId>> images(kAttrs);
+      for (AttributeId a = 0; a < kAttrs; ++a) images[a] = a;
+      probe.trail.push_back(std::move(images));
+    }
+    return probe;
+  }
+
+  /// Receivers of the probes among `messages`, ascending.
+  static std::vector<NodeId> ProbeReceivers(
+      const std::vector<Outgoing>& messages) {
+    std::vector<NodeId> receivers;
+    for (const Outgoing& message : messages) {
+      if (std::holds_alternative<ProbeMessage>(message.payload)) {
+        receivers.push_back(message.to);
+      }
+    }
+    std::sort(receivers.begin(), receivers.end());
+    return receivers;
+  }
+
+  /// Receivers of the probes the last peer on `nodes` forwards.
+  std::vector<NodeId> Forwards(const std::vector<NodeId>& nodes,
+                               uint32_t ttl) {
+    return ProbeReceivers(peers_[nodes.back()]->HandleProbe(Probe(nodes, ttl)));
+  }
+
+  Digraph graph_;
+  EdgeId edge_[kPeers][kPeers] = {};
+  EngineOptions options_;
+  std::vector<std::unique_ptr<Peer>> peers_;
+};
+
+TEST_F(ProbeForwardingTest, FinalHopGoesOnlyBackToOrigin) {
+  // 0 -> 1 -> 2 -> 3 with one hop left: only the hop back to 0 closes a
+  // cycle (of length 4); a fourth hop to 4 could close nothing.
+  EXPECT_EQ(Forwards({0, 1, 2, 3}, 1), (std::vector<NodeId>{0}));
+  // With hops and cycle length left, 2 and 4 are still worth a probe.
+  EXPECT_EQ(Forwards({0, 1, 3}, 2), (std::vector<NodeId>{0, 2, 4}));
+}
+
+TEST_F(ProbeForwardingTest, RouteThroughSmallerIdStopsPastMaxPathLength) {
+  // Origin 2 went through peer 0: no cycle on this route is rooted at 2,
+  // and at two hops it is no parallel-path candidate either.
+  EXPECT_TRUE(Forwards({2, 0}, 3).empty());
+  // Through peer 3 it still roots cycles: back to 2, or on to 4 (above the
+  // origin); 0 and 1 are below it.
+  EXPECT_EQ(Forwards({2, 3}, 3), (std::vector<NodeId>{2, 4}));
+}
+
+TEST_F(ProbeForwardingTest, ParallelPathPrefixesStillForwarded) {
+  options_.closure_limits.max_path_length = 3;
+  // Two-hop routes are parallel-path candidates at every peer but the
+  // origin, which only takes back cycles it roots.
+  EXPECT_EQ(Forwards({2, 0}, 3), (std::vector<NodeId>{1, 3, 4}));
+  EXPECT_EQ(Forwards({2, 3}, 3), (std::vector<NodeId>{0, 1, 2, 4}));
+  // Past max_path_length the cycle rule applies again.
+  EXPECT_TRUE(Forwards({2, 0, 1, 3}, 1).empty());
+}
+
+TEST_F(ProbeForwardingTest, StartProbesFollowTheSameRule) {
+  // One-hop routes are parallel-path candidates everywhere.
+  EXPECT_EQ(ProbeReceivers(peers_[2]->StartProbes()),
+            (std::vector<NodeId>{0, 1, 3, 4}));
+  // Without parallel paths only neighbors above the origin can lead back
+  // to a cycle it roots.
+  options_.closure_limits.max_path_length = 0;
+  EXPECT_EQ(ProbeReceivers(peers_[2]->StartProbes()),
+            (std::vector<NodeId>{3, 4}));
+}
+
 TEST_F(PeerTest, UpdatePriorsOnlyTouchesVariablesWithEvidence) {
   peers_[0]->IngestFeedback(F1Announcement());
   peers_[0]->ComputeRound();

@@ -6,10 +6,11 @@ Usage:
                          [--tolerance 0.10] [--peers 1000]
                          [--parallelism 1]
 
-Configs are matched on (topology, peers, parallelism, value_budget) — the
-budget defaults to 0 for pre-v5 baselines, so exact rows keep matching
-across schema versions while quantized rows only ever compare against
-quantized rows. Rows present in only one file are ignored (the CI smoke
+Configs are matched on (topology, peers, parallelism, value_budget,
+probe_ttl) — the budget defaults to 0 for pre-v5 baselines and the TTL to 2
+for pre-v7 ones, so exact 2-cycle rows keep matching across schema versions
+while quantized rows only ever compare against quantized rows and
+long-cycle rows against long-cycle rows. Rows present in only one file are ignored (the CI smoke
 run covers a subset of the checked-in sweep). For each matched pair the relative *regression* of `--metric` over
 the baseline is computed — an increase for lower-is-better metrics
 (bytes_per_round, key_bytes_per_round, ...), a decrease for
@@ -27,6 +28,11 @@ demotion recall >= 0.95 and honest_posterior_delta <= 0.25, and the
 clean guarded row must keep false_positive_rate < 0.01. A current file
 that *dropped* the section while the baseline had it is an error — the
 resilience sweep must not silently disappear.
+
+Independently of `--metric`, every matched row whose baseline records
+`discover_probe_messages` (schema v7+) fails if the current count is larger
+at all: the count is deterministic for a workload, so any growth means
+discovery floods more than it did.
 
 The `fault_runs` section (schema v4+) is re-checked the same way: every
 CURRENT row that reports `converged` must have landed within
@@ -54,7 +60,7 @@ def load_configs(path, peers_filter, parallelism_filter):
                 and row["parallelism"] != parallelism_filter):
             continue
         configs[(row["topology"], row["peers"], row["parallelism"],
-                 row.get("value_budget", 0))] = row
+                 row.get("value_budget", 0), row.get("probe_ttl", 2))] = row
     return data.get("schema_version"), configs, data
 
 
@@ -134,6 +140,36 @@ def check_fault_runs(base_data, cur_data):
     return failures
 
 
+def row_tag(key):
+    topology, peers, parallelism, value_budget, probe_ttl = key
+    budget_tag = f" eps={value_budget:.0e}" if value_budget else ""
+    ttl_tag = f" ttl={probe_ttl}" if probe_ttl != 2 else ""
+    return f"{topology} n={peers} p={parallelism}{budget_tag}{ttl_tag}"
+
+
+def check_probe_messages(baseline, current, matched):
+    """Zero-tolerance gate on the discovery probe count of matched rows.
+
+    Returns the number of rows whose count grew. Rows whose baseline
+    predates the field are skipped.
+    """
+    failures = 0
+    for key in matched:
+        base_value = baseline[key].get("discover_probe_messages")
+        if base_value is None:
+            continue
+        cur_value = current[key].get("discover_probe_messages")
+        if cur_value is None:
+            print(f"[FAIL] {row_tag(key)} dropped discover_probe_messages")
+            failures += 1
+            continue
+        verdict = "FAIL" if cur_value > base_value else "ok"
+        print(f"[{verdict}] {row_tag(key)} discover_probe_messages: "
+              f"{base_value} -> {cur_value} (must not grow)")
+        failures += verdict == "FAIL"
+    return failures
+
+
 def regression(metric, base_value, cur_value):
     """Relative regression of `cur_value` vs `base_value` (positive = worse)."""
     if base_value == 0:
@@ -186,19 +222,20 @@ def main():
         verdict = "FAIL" if delta > args.tolerance else "ok"
         if verdict == "FAIL":
             failures += 1
-        topology, peers, parallelism, value_budget = key
-        budget_tag = f" eps={value_budget:.0e}" if value_budget else ""
-        print(f"[{verdict}] {topology} n={peers} p={parallelism}{budget_tag} "
+        print(f"[{verdict}] {row_tag(key)} "
               f"{args.metric} ({direction} is better): "
               f"{base_value:.1f} -> {cur_value:.1f} "
               f"(regression {delta:+.1%}, tolerance +{args.tolerance:.0%})")
 
+    probe_failures = check_probe_messages(baseline, current, matched)
     adversary_failures = check_adversary_runs(base_data, cur_data)
     fault_failures = check_fault_runs(base_data, cur_data)
-    if failures or adversary_failures or fault_failures:
+    if failures or probe_failures or adversary_failures or fault_failures:
         if failures:
             print(f"{failures}/{len(matched)} configs regressed on "
                   f"'{args.metric}'")
+        if probe_failures:
+            print(f"{probe_failures} configs sent more discovery probes")
         if adversary_failures:
             print(f"{adversary_failures} Byzantine-resilience floors broken")
         if fault_failures:
