@@ -28,7 +28,7 @@ EngineOptions Fig12Options(double value_budget) {
   options.closure_limits.max_path_length = 3;
   options.tolerance = 1e-4;
   options.damping = 0.5;  // dense evidence graph: damp loopy oscillation
-  options.value_precision.error_budget = value_budget;
+  options.value_error_budget = value_budget;
   return options;
 }
 

@@ -78,7 +78,7 @@ int RunQuantizedTiers() {
     // limit cycle instead of a 1e-7 fixed point); the accuracy guarantee
     // is on the converged posteriors, asserted below.
     options.tolerance = std::max(1e-7, budget / 8.0);
-    options.value_precision.error_budget = budget;
+    options.value_error_budget = budget;
     bench::IntroFixture fixture = bench::MakeIntroFixture(options);
     bench::InjectPaperFeedback(fixture);
     const ConvergenceReport report = fixture.pdms.session().Converge(60);

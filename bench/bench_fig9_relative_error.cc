@@ -71,7 +71,7 @@ std::vector<double> LoopyPosteriors(size_t inserted, double budget) {
   EngineOptions options;
   options.default_prior = 0.8;
   options.delta_override = 0.1;
-  options.value_precision.error_budget = budget;
+  options.value_error_budget = budget;
   bench::IntroFixture fixture = bench::MakeIntroFixture(options, inserted);
   bench::InjectPaperFeedback(fixture);
   for (int round = 0; round < 10; ++round) fixture.pdms.session().Step();

@@ -12,8 +12,9 @@ namespace pdms {
 
 /// When peers exchange remote belief messages (Section 4.3).
 enum class ScheduleKind : uint8_t {
-  /// Every `period_ticks` ticks each peer proactively sends remote
-  /// messages to all peers in its local factor graph (Section 4.3.1).
+  /// Every tick (the paper's period τ = 1) each peer proactively sends
+  /// remote messages to all peers in its local factor graph (Section
+  /// 4.3.1).
   kPeriodic = 0,
   /// Remote messages piggyback on query traffic only: zero additional
   /// message overhead, convergence speed proportional to query load
@@ -28,83 +29,27 @@ enum class Granularity : uint8_t {
   kCoarse = 1,  ///< one variable per mapping
 };
 
-/// Quantized belief wire values (wire format v4): ship each remote µ as a
-/// fixed-point log-odds quantum instead of two raw doubles, trading a
-/// bounded per-value error for a multiple-times smaller steady-state
-/// wire footprint. Off by default — posteriors stay bitwise-identical to
-/// the unquantized engine unless a budget is set.
-struct ValuePrecisionOptions {
-  /// Maximum tolerated per-value log-odds error ε. 0 (default) disables
-  /// quantization entirely (raw IEEE doubles on the wire). The finest
-  /// adaptive tier uses `ValueBitsForBudget(ε)` fractional bits, i.e. a
-  /// quantization step of at most ε/8.
-  double error_budget = 0.0;
-  /// Adapt precision to convergence: links start coarse (budget-relative
-  /// step of ~8ε while residuals exceed 64ε) and step up monotonically to
-  /// the fine tier as the peer's residual shrinks. When false, every
-  /// bundle uses the fine tier from the first round.
-  bool adaptive = true;
-  /// Step converged links (residual below `EngineOptions::tolerance`) all
-  /// the way back to exact raw doubles, spending wire bytes to pin the
-  /// fixpoint once traffic is cheap.
-  bool exact_at_convergence = false;
-};
-
 /// Byzantine-resilient belief admission (off by default). When enabled,
 /// every inbound belief entry is validated semantically before it touches
 /// replica state — finite normalizable measures, values consistent with
 /// the bundle's declared quantization tier, no same-round equivocation —
 /// and each neighbor link carries a decaying misbehavior score fed by
-/// admission rejections, oscillation beyond a configurable bound, and
-/// posterior-influence outliers. Crossing `soft_threshold` demotes the
-/// link (absorbed beliefs damped toward uniform); crossing
-/// `hard_threshold` quarantines it (bundles dropped entirely). Demotions
-/// are sticky and replay deterministically from round-ordered evidence,
-/// so guarded runs stay bitwise parallel-deterministic. With `enabled`
-/// false the admission path is byte-for-byte the unguarded one.
+/// admission rejections (weight 2), equivocations (4), streaks of six
+/// consecutive direction reversals of at least 0.75 log-odds (1, at most
+/// once per round), and posterior-influence outliers above 8x the clean
+/// median (0.5); the score decays by 0.9 per round. Crossing
+/// `soft_threshold` demotes the link (absorbed log-odds scaled by 0.25,
+/// toward the uniform message); crossing `2 × soft_threshold` quarantines
+/// it (bundles dropped entirely). The weights and rates are fixed
+/// constants in core/peer.cc. Demotions are sticky and replay
+/// deterministically from round-ordered evidence, so guarded runs stay
+/// bitwise parallel-deterministic. With `enabled` false the admission path
+/// is byte-for-byte the unguarded one.
 struct ByzantineGuardOptions {
   bool enabled = false;
-
-  /// Multiplicative per-round decay of each link's misbehavior score, in
-  /// [0, 1): isolated violations (a delayed duplicate, one early
-  /// oscillation) wash out; sustained misbehavior accumulates.
-  double score_decay = 0.9;
-
-  /// Score added per admission rejection (non-finite / negative /
-  /// all-zero measures, quantization-tier mismatches, out-of-range or
-  /// own-member-forging positions).
-  double admission_weight = 2.0;
-  /// Score added when a link sends conflicting values for the same
-  /// factor position within one round (equivocation). Re-sending the
-  /// *same* value (a duplicated envelope) is not a violation.
-  double equivocation_weight = 4.0;
-  /// Score added when a slot's value reverses direction
-  /// `oscillation_bound` consecutive times by more than `flip_magnitude`
-  /// log-odds each.
-  double oscillation_weight = 1.0;
-  /// Score added when a link's mean absorbed |Δ log-odds| for a round
-  /// exceeds `outlier_ratio` times the median across this peer's
-  /// not-yet-suspect links (the independent-corroboration weighting: a
-  /// colluding neighbor cannot vouch a suspect back under the median).
-  double outlier_weight = 0.5;
-
-  /// Direction reversals tolerated per slot before they score.
-  uint32_t oscillation_bound = 6;
-  /// Minimum |Δ log-odds| for a move to count toward oscillation.
-  double flip_magnitude = 0.75;
-  /// Influence-outlier trigger: link mean vs median across clean links
-  /// (requires at least 3 clean links; smaller neighborhoods skip the
-  /// check).
-  double outlier_ratio = 8.0;
-
-  /// Demotion thresholds on the decayed score. Soft: absorbed beliefs
-  /// are damped toward the uniform message by `soft_damping`. Hard: the
-  /// link's bundles are dropped before absorption.
+  /// Decayed score at which a link is soft-demoted; the link is
+  /// quarantined at twice this score. Must be positive.
   double soft_threshold = 6.0;
-  double hard_threshold = 12.0;
-  /// Log-odds retention factor for soft-demoted links, in [0, 1):
-  /// absorbed log-odds l becomes soft_damping · l.
-  double soft_damping = 0.25;
 };
 
 /// Configuration of a `PdmsEngine`.
@@ -119,10 +64,9 @@ struct EngineOptions {
   std::optional<double> delta_override;
   /// Semantic threshold θ: a query is forwarded through a mapping only if
   /// every query attribute has posterior correctness > θ (Section 2).
+  /// Attributes without feedback evidence yet always pass (standard-PDMS
+  /// bootstrap behaviour); ⊥ attributes always block.
   double theta = 0.5;
-  /// Forward queries through mappings that have no feedback evidence yet
-  /// (standard-PDMS bootstrap behaviour; ⊥ attributes still block).
-  bool forward_without_evidence = true;
   /// TTL for closure-discovery probes (Section 3.2.1). A probe is
   /// forwarded only where it can still close something: to its origin when
   /// that closes a cycle within `closure_limits` rooted at the route's
@@ -130,15 +74,21 @@ struct EngineOptions {
   /// candidate (at most `max_path_length` mappings), and otherwise only to
   /// peers above the origin on a route that has not passed a smaller id,
   /// while hops and cycle length remain.
+  ///
+  /// The defaults (TTL 6, cycles 3–8, parallel paths of up to 6 mappings)
+  /// suit only tiny networks: every route of at most 6 hops is a
+  /// parallel-path candidate, and each receiver pairs a new short probe
+  /// with every probe it cached from the same origin (up to 128), so
+  /// factors grow combinatorially. A 16-peer symmetrized BA network gave
+  /// 134,892 factors in 9.2 s at 1.3 GB peak RSS. For anything larger,
+  /// copy the long-cycle bench settings: `probe_ttl = 4` with
+  /// `closure_limits` cycles 2–4 and `max_path_length = 1` (1k BA peers:
+  /// 15,918 factors from 28,774 probes).
   uint32_t probe_ttl = 6;
   /// Structural limits honored during discovery.
   ClosureFinderOptions closure_limits;
-  /// Cached foreign probes per (peer, origin) for parallel-path detection.
-  size_t max_cached_probes = 128;
 
   ScheduleKind schedule = ScheduleKind::kPeriodic;
-  /// Remote-message period τ in ticks (periodic schedule).
-  uint64_t period_ticks = 1;
 
   /// Worker threads used to execute inference rounds (per-peer
   /// `ComputeRound` and belief-bundle construction fan out across them).
@@ -172,10 +122,16 @@ struct EngineOptions {
   /// schedule).
   double damping = 0.0;
 
-  /// Quantized belief wire values (wire format v4); see
-  /// `ValuePrecisionOptions`. Participates in `ComputeStateEpoch`: a
-  /// snapshot taken under one budget cannot restore under another.
-  ValuePrecisionOptions value_precision;
+  /// Quantized belief wire values (wire format v4): the maximum tolerated
+  /// per-value log-odds error ε when remote µ values ship as fixed-point
+  /// log-odds quanta instead of two raw doubles. 0 (default) disables
+  /// quantization, keeping posteriors bitwise-identical to the raw-double
+  /// engine. Links start coarse (a step of ~8ε while the peer's residual
+  /// exceeds 64ε) and step up monotonically to the fine tier of
+  /// `ValueBitsForBudget(ε)` fractional bits (a step of at most ε/8) as
+  /// the residual shrinks. Participates in `ComputeStateEpoch`: a snapshot
+  /// taken under one budget cannot restore under another.
+  double value_error_budget = 0.0;
 
   /// Byzantine-resilient belief admission (see `ByzantineGuardOptions`).
   /// Participates in `ComputeStateEpoch`: guard state in a snapshot only

@@ -239,8 +239,7 @@ RoundReport PdmsEngine::RunRound() {
     report.max_posterior_change = std::max(report.max_posterior_change, change);
   }
 
-  if (options_.schedule == ScheduleKind::kPeriodic &&
-      transport_->now() % options_.period_ticks == 0) {
+  if (options_.schedule == ScheduleKind::kPeriodic) {
     // Bundle construction is the expensive half of the fan-out and is
     // peer-local: parallelize it. The actual sends stay in canonical peer
     // order so lossy transports draw their drop decisions in the same

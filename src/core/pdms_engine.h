@@ -102,7 +102,7 @@ class PdmsEngine {
   // --- Inference -------------------------------------------------------------
 
   /// One synchronized round: tick, deliver, compute, and (periodic
-  /// schedule, every τ) exchange remote messages.
+  /// schedule) exchange remote messages.
   RoundReport RunRound();
 
   /// Rounds until `max_rounds` or the convergence verdict: the residual

@@ -16,6 +16,36 @@ namespace {
 /// cap is immaterial as long as it is deterministic.
 constexpr double kGuardLogOddsCap = 745.0;
 
+/// Misbehavior score added per admission rejection (non-finite / negative
+/// / all-zero measures, quantization-tier mismatches, out-of-range or
+/// own-member-forging positions).
+constexpr double kGuardAdmissionWeight = 2.0;
+/// Score added when a link sends conflicting values for the same factor
+/// position within one round (equivocation). Re-sending the *same* value
+/// (a duplicated envelope) is not a violation.
+constexpr double kGuardEquivocationWeight = 4.0;
+/// Score added, at most once per round, when a slot's value has reversed
+/// direction `kGuardOscillationBound` consecutive times by at least
+/// `kGuardFlipMagnitude` log-odds each.
+constexpr double kGuardOscillationWeight = 1.0;
+constexpr uint32_t kGuardOscillationBound = 6;
+constexpr double kGuardFlipMagnitude = 0.75;
+/// Score added when a link's mean absorbed |Δ log-odds| for a round
+/// exceeds `kGuardOutlierRatio` times the median across this peer's
+/// not-yet-suspect links (the independent-corroboration weighting: a
+/// colluding neighbor cannot vouch a suspect back under the median).
+constexpr double kGuardOutlierWeight = 0.5;
+constexpr double kGuardOutlierRatio = 8.0;
+/// Multiplicative per-round score decay: isolated violations (a delayed
+/// duplicate, one early oscillation) wash out; sustained misbehavior
+/// accumulates.
+constexpr double kGuardScoreDecay = 0.9;
+/// Log-odds retention factor on soft-demoted links: absorbed log-odds l
+/// becomes kGuardSoftDamping · l.
+constexpr double kGuardSoftDamping = 0.25;
+/// Cached foreign probes per (peer, origin) for parallel-path detection.
+constexpr size_t kMaxCachedProbes = 128;
+
 double GuardLogOdds(const Belief& belief) {
   if (belief.correct <= 0.0 && belief.incorrect <= 0.0) return 0.0;
   if (belief.incorrect <= 0.0) return kGuardLogOddsCap;
@@ -32,26 +62,19 @@ Belief GuardDamped(const Belief& belief, double w) {
 
 }  // namespace
 
-uint32_t ValueRankBits(const ValuePrecisionOptions& precision, uint32_t rank) {
-  if (rank >= kValueRankExact && precision.exact_at_convergence) return 0;
-  const uint32_t fine = ValueBitsForBudget(precision.error_budget);
+uint32_t ValueRankBits(double error_budget, uint32_t rank) {
+  const uint32_t fine = ValueBitsForBudget(error_budget);
   if (fine == 0) return 0;  // budget off: raw doubles everywhere
-  if (!precision.adaptive || rank >= 2) return fine;
+  if (rank >= 2) return fine;
   // Coarse/mid tiers drop 6/3 fractional bits: an 8x/2x larger step
   // while residuals dwarf the budget anyway.
   const uint32_t drop = rank == 0 ? 6 : 3;
   return fine > drop + 2 ? fine - drop : 2;
 }
 
-uint32_t ValueRankTarget(const ValuePrecisionOptions& precision,
-                         double residual, double tolerance) {
-  if (precision.exact_at_convergence && residual < tolerance) {
-    return kValueRankExact;
-  }
-  if (!precision.adaptive) return 2;
-  const double eps = precision.error_budget;
-  if (residual > 64.0 * eps) return 0;
-  if (residual > 8.0 * eps) return 1;
+uint32_t ValueRankTarget(double error_budget, double residual) {
+  if (residual > 64.0 * error_budget) return 0;
+  if (residual > 8.0 * error_budget) return 1;
   return 2;
 }
 
@@ -94,29 +117,16 @@ void Peer::RemoveMapping(EdgeId edge) {
     guard_slot_pool_.resize(var_to_factor_pool_.size());
   }
   // Misbehavior is a property of the *neighbor*, not of the alias
-  // session: carry scores and demotions across the session reset below,
-  // so churn cannot parole a demoted link.
-  struct GuardCarry {
-    PeerId peer;
-    double score;
-    uint8_t demote_level;
-    uint64_t rejections, equivocations, oscillations, outliers, dropped;
-  };
-  std::vector<GuardCarry> carried;
+  // session: carry scores, demotions and tallies across the session reset
+  // below, so churn cannot parole a demoted link. The per-round influence
+  // accumulators restart at zero with the fresh link.
+  std::vector<std::pair<PeerId, LinkGuard>> carried;
   if (options_->byzantine_guard.enabled) {
     for (const auto& [peer, index] : alias_link_index_) {
-      const PeerLink& link = alias_links_[index];
-      if (link.guard_score == 0.0 && link.guard_demote_level == 0 &&
-          link.guard_rejections == 0 && link.guard_equivocations == 0 &&
-          link.guard_oscillations == 0 && link.guard_outliers == 0 &&
-          link.guard_dropped_bundles == 0) {
-        continue;
-      }
-      carried.push_back(GuardCarry{
-          peer, link.guard_score, link.guard_demote_level,
-          link.guard_rejections, link.guard_equivocations,
-          link.guard_oscillations, link.guard_outliers,
-          link.guard_dropped_bundles});
+      LinkGuard guard = alias_links_[index].guard;
+      guard.round_influence = 0.0;
+      guard.round_absorbed = 0;
+      if (guard != LinkGuard{}) carried.emplace_back(peer, guard);
     }
   }
   const std::vector<Belief> old_var_to_factor = std::move(var_to_factor_pool_);
@@ -190,15 +200,8 @@ void Peer::RemoveMapping(EdgeId edge) {
     }
     AddReplicaToRoutes(r);
   }
-  for (const GuardCarry& carry : carried) {
-    PeerLink& link = alias_links_[InternAliasLink(carry.peer)];
-    link.guard_score = carry.score;
-    link.guard_demote_level = carry.demote_level;
-    link.guard_rejections = carry.rejections;
-    link.guard_equivocations = carry.equivocations;
-    link.guard_oscillations = carry.oscillations;
-    link.guard_outliers = carry.outliers;
-    link.guard_dropped_bundles = carry.dropped;
+  for (const auto& [peer, guard] : carried) {
+    alias_links_[InternAliasLink(peer)].guard = guard;
   }
 }
 
@@ -527,8 +530,8 @@ Status Peer::AbsorbBeliefBundle(PeerId from, const BeliefMessage& message) {
     // entries, not the ack, not the binding declarations. Counted and
     // dropped without a Status (a per-round error would flood the logs
     // for as long as the adversary keeps sending).
-    if (link.guard_demote_level >= 2) {
-      ++link.guard_dropped_bundles;
+    if (link.guard.demote_level >= 2) {
+      ++link.guard.dropped_bundles;
       return Status::Ok();
     }
     // Slot histories share the message pools' slots and grow lazily, so
@@ -633,7 +636,6 @@ Status Peer::AbsorbBeliefBundle(PeerId from, const BeliefMessage& message) {
 void Peer::AbsorbGuarded(PeerId from, PeerLink& link, uint32_t r,
                          const BeliefEntry& entry, uint32_t value_bits,
                          Status* status) {
-  const ByzantineGuardOptions& guard = options_->byzantine_guard;
   const ReplicaHot& hot = replica_hot_[r];
   const Belief& received = entry.belief;
   // Numerically degenerate measures — NaN, ±inf, all-zero — are refused
@@ -650,7 +652,7 @@ void Peer::AbsorbGuarded(PeerId from, PeerLink& link, uint32_t r,
   if (nan_measure || std::isinf(received.correct) ||
       std::isinf(received.incorrect) ||
       (!negative && received.correct == 0.0 && received.incorrect == 0.0)) {
-    ++link.guard_rejections;
+    ++link.guard.rejections;
     return;
   }
   // Admission proper: everything the unguarded path silently ignores
@@ -697,8 +699,8 @@ void Peer::AbsorbGuarded(PeerId from, PeerLink& link, uint32_t r,
     }
   }
   if (!admitted) {
-    ++link.guard_rejections;
-    link.guard_score += guard.admission_weight;
+    ++link.guard.rejections;
+    link.guard.score += kGuardAdmissionWeight;
     if (status->ok()) {
       *status = Status::InvalidArgument(
           StrFormat("belief entry rejected at peer %u: %s", id_, reason));
@@ -713,8 +715,8 @@ void Peer::AbsorbGuarded(PeerId from, PeerLink& link, uint32_t r,
     // Same-round conflicting value for one slot: equivocation. The first
     // value is kept. Re-sending the *same* value (a duplicated envelope)
     // falls through below as a clean idempotent overwrite.
-    ++link.guard_equivocations;
-    link.guard_score += guard.equivocation_weight;
+    ++link.guard.equivocations;
+    link.guard.score += kGuardEquivocationWeight;
     if (status->ok()) {
       *status = Status::FailedPrecondition(StrFormat(
           "equivocating belief entry at peer %u: conflicting values for one "
@@ -725,16 +727,16 @@ void Peer::AbsorbGuarded(PeerId from, PeerLink& link, uint32_t r,
   }
   if (slot.has_last) {
     const double delta = log_odds - slot.last_log_odds;
-    if (std::abs(delta) >= guard.flip_magnitude) {
+    if (std::abs(delta) >= kGuardFlipMagnitude) {
       const int8_t dir = delta > 0.0 ? 1 : -1;
       if (dir == -slot.last_dir) {
-        if (++slot.flips >= guard.oscillation_bound) {
+        if (++slot.flips >= kGuardOscillationBound) {
           // Count every completed streak, but score at most one
           // oscillation event per link per round (GuardEndOfRound):
           // links carry many slots, and per-slot scoring would let a
           // poisoned honest relay — every slot thrashing secondhand —
           // accrue score proportional to its slot count.
-          ++link.guard_oscillations;
+          ++link.guard.oscillations;
           link.guard_round_oscillated = true;
           slot.flips = 0;
         }
@@ -743,23 +745,23 @@ void Peer::AbsorbGuarded(PeerId from, PeerLink& link, uint32_t r,
       }
       slot.last_dir = dir;
     }
-    link.guard_round_influence += std::abs(delta);
+    link.guard.round_influence += std::abs(delta);
   } else {
-    link.guard_round_influence += std::abs(log_odds);
+    link.guard.round_influence += std::abs(log_odds);
   }
-  ++link.guard_round_absorbed;
+  ++link.guard.round_absorbed;
   slot.last_log_odds = log_odds;
   slot.last_round = round_;
   slot.has_last = true;
   // Admission checks above subsume AbsorbResolved's guards; write the
   // slot directly, damped toward the unit message on a soft-demoted link.
   var_to_factor_pool_[hot.msg_base + entry.position] =
-      link.guard_demote_level >= 1 ? GuardDamped(received, guard.soft_damping)
+      link.guard.demote_level >= 1 ? GuardDamped(received, kGuardSoftDamping)
                                    : received;
 }
 
 void Peer::GuardEndOfRound() {
-  const ByzantineGuardOptions& guard = options_->byzantine_guard;
+  const double soft_threshold = options_->byzantine_guard.soft_threshold;
   // Influence outliers: a link whose mean absorbed |Δ log-odds| this
   // round dwarfs the median across still-clean links gets scored. The
   // median deliberately excludes suspects — colluding neighbors cannot
@@ -768,29 +770,29 @@ void Peer::GuardEndOfRound() {
   std::vector<double> clean_means;
   clean_means.reserve(alias_links_.size());
   for (const PeerLink& link : alias_links_) {
-    if (link.guard_demote_level == 0 && link.guard_round_absorbed > 0) {
-      clean_means.push_back(link.guard_round_influence /
-                            link.guard_round_absorbed);
+    if (link.guard.demote_level == 0 && link.guard.round_absorbed > 0) {
+      clean_means.push_back(link.guard.round_influence /
+                            link.guard.round_absorbed);
     }
   }
   if (clean_means.size() >= 3) {
     std::sort(clean_means.begin(), clean_means.end());
     const double median = clean_means[clean_means.size() / 2];
-    // The baseline is floored at flip_magnitude: in a mostly-converged
+    // The baseline is floored at the flip magnitude: in a mostly-converged
     // neighborhood the clean median collapses toward zero, and without
     // the floor every link still doing real work would dwarf it and be
     // scored as an "outlier".
-    const double baseline = std::max(median, guard.flip_magnitude);
+    const double baseline = std::max(median, kGuardFlipMagnitude);
     if (baseline > 0.0) {
       for (PeerLink& link : alias_links_) {
-        if (link.guard_demote_level != 0 || link.guard_round_absorbed == 0) {
+        if (link.guard.demote_level != 0 || link.guard.round_absorbed == 0) {
           continue;
         }
         const double mean =
-            link.guard_round_influence / link.guard_round_absorbed;
-        if (mean > guard.outlier_ratio * baseline) {
-          ++link.guard_outliers;
-          link.guard_score += guard.outlier_weight;
+            link.guard.round_influence / link.guard.round_absorbed;
+        if (mean > kGuardOutlierRatio * baseline) {
+          ++link.guard.outliers;
+          link.guard.score += kGuardOutlierWeight;
         }
       }
     }
@@ -802,12 +804,12 @@ void Peer::GuardEndOfRound() {
   for (size_t i = 0; i < alias_links_.size(); ++i) {
     PeerLink& link = alias_links_[i];
     if (link.guard_round_oscillated) {
-      link.guard_score += guard.oscillation_weight;
+      link.guard.score += kGuardOscillationWeight;
       link.guard_round_oscillated = false;
     }
-    if (link.guard_score >= guard.hard_threshold) {
-      if (link.guard_demote_level < 2) {
-        link.guard_demote_level = 2;
+    if (link.guard.score >= 2.0 * soft_threshold) {
+      if (link.guard.demote_level < 2) {
+        link.guard.demote_level = 2;
         // Quarantining stops FUTURE bundles; the lies already absorbed
         // would keep poisoning this peer's products (and its honest
         // neighbors, secondhand) forever. Reset every slot the liar
@@ -819,13 +821,13 @@ void Peer::GuardEndOfRound() {
           }
         }
       }
-    } else if (link.guard_score >= guard.soft_threshold &&
-               link.guard_demote_level < 1) {
-      link.guard_demote_level = 1;
+    } else if (link.guard.score >= soft_threshold &&
+               link.guard.demote_level < 1) {
+      link.guard.demote_level = 1;
     }
-    link.guard_score *= guard.score_decay;
-    link.guard_round_influence = 0.0;
-    link.guard_round_absorbed = 0;
+    link.guard.score *= kGuardScoreDecay;
+    link.guard.round_influence = 0.0;
+    link.guard.round_absorbed = 0;
   }
 }
 
@@ -873,7 +875,8 @@ double Peer::ComputeRound() {
   for (VarState& var : vars_) {
     const size_t k = var.slots.size();
     if (k == 0) continue;
-    const Belief prior = Belief::FromProbability(Prior(var.key));
+    const Belief prior = Belief::FromProbability(
+        var.has_explicit_prior ? var.prior : options_->default_prior);
     ExclusivePrefixSuffixProducts(
         k,
         [&](size_t j) -> const Belief& {
@@ -906,9 +909,9 @@ double Peer::ComputeRound() {
   // outgoing link ratchets toward the tier this round's residual calls
   // for — monotone, so a peer restored from a snapshot continues the
   // same precision trajectory an uninterrupted run would have taken.
-  if (options_->value_precision.error_budget > 0.0) {
-    const uint32_t target = ValueRankTarget(
-        options_->value_precision, max_change, options_->tolerance);
+  if (options_->value_error_budget > 0.0) {
+    const uint32_t target =
+        ValueRankTarget(options_->value_error_budget, max_change);
     for (PeerLink& link : alias_links_) {
       if (link.value_rank < target) {
         link.value_rank = static_cast<uint8_t>(target);
@@ -930,7 +933,7 @@ void Peer::CollectOutgoingBeliefs(std::vector<Outgoing>* out) const {
   // lookup (the alias was negotiated when the route was built).
   out->clear();
   out->reserve(belief_routes_.size());
-  const bool quantize = options_->value_precision.error_budget > 0.0;
+  const bool quantize = options_->value_error_budget > 0.0;
   const ByzantinePlan& chaos = options_->byzantine;
   const bool adversarial = chaos.Enabled() && chaos.IsAdversary(id_);
   std::vector<FactorId> chaos_group_ids;
@@ -969,7 +972,7 @@ void Peer::CollectOutgoingBeliefs(std::vector<Outgoing>* out) const {
     // struct already carries the dequantized belief).
     if (quantize) {
       bundle.QuantizeValues(
-          ValueRankBits(options_->value_precision, link.value_rank));
+          ValueRankBits(options_->value_error_budget, link.value_rank));
     }
     // Behavioral chaos: an adversarial peer poisons its own wire *after*
     // quantization, so forged entries stay tier-consistent and have to
@@ -995,7 +998,7 @@ void Peer::CollectOutgoingBeliefs(std::vector<Outgoing>* out) const {
 bool Peer::HeardAllLinksWithin(uint64_t rounds) const {
   for (const BeliefRoute& route : belief_routes_) {
     const PeerLink& link = alias_links_[route.link];
-    if (link.guard_demote_level >= 2) continue;  // dropped on arrival anyway
+    if (link.guard.demote_level >= 2) continue;  // dropped on arrival anyway
     if (link.heard == 0 || link.heard + rounds <= round_) return false;
   }
   return true;
@@ -1032,18 +1035,7 @@ std::vector<Peer::ReplicaView> Peer::ReplicaViews() const {
 std::vector<Peer::GuardLinkView> Peer::GuardViews() const {
   std::vector<GuardLinkView> views(alias_links_.size());
   for (const auto& [peer, index] : alias_link_index_) {
-    views[index].peer = peer;
-  }
-  for (size_t i = 0; i < alias_links_.size(); ++i) {
-    const PeerLink& link = alias_links_[i];
-    GuardLinkView& view = views[i];
-    view.score = link.guard_score;
-    view.demote_level = link.guard_demote_level;
-    view.rejections = link.guard_rejections;
-    view.equivocations = link.guard_equivocations;
-    view.oscillations = link.guard_oscillations;
-    view.outliers = link.guard_outliers;
-    view.dropped_bundles = link.guard_dropped_bundles;
+    views[index] = GuardLinkView{peer, alias_links_[index].guard};
   }
   return views;
 }
@@ -1051,7 +1043,7 @@ std::vector<Peer::GuardLinkView> Peer::GuardViews() const {
 uint64_t Peer::guard_rejected_entries() const {
   uint64_t total = 0;
   for (const PeerLink& link : alias_links_) {
-    total += link.guard_rejections + link.guard_equivocations;
+    total += link.guard.rejections + link.guard.equivocations;
   }
   return total;
 }
@@ -1059,7 +1051,7 @@ uint64_t Peer::guard_rejected_entries() const {
 uint64_t Peer::guard_demoted_links() const {
   uint64_t total = 0;
   for (const PeerLink& link : alias_links_) {
-    if (link.guard_demote_level >= 1) ++total;
+    if (link.guard.demote_level >= 1) ++total;
   }
   return total;
 }
@@ -1067,7 +1059,7 @@ uint64_t Peer::guard_demoted_links() const {
 uint64_t Peer::guard_quarantined_links() const {
   uint64_t total = 0;
   for (const PeerLink& link : alias_links_) {
-    if (link.guard_demote_level >= 2) ++total;
+    if (link.guard.demote_level >= 2) ++total;
   }
   return total;
 }
@@ -1111,15 +1103,7 @@ Peer::Image Peer::CaptureImage() const {
     out.rx_known_prefix = link.session.rx.known_prefix;
     out.replica_of_alias = link.replica_of_alias;
     out.value_rank = link.value_rank;
-    out.guard_score = link.guard_score;
-    out.guard_demote_level = link.guard_demote_level;
-    out.guard_rejections = link.guard_rejections;
-    out.guard_equivocations = link.guard_equivocations;
-    out.guard_oscillations = link.guard_oscillations;
-    out.guard_outliers = link.guard_outliers;
-    out.guard_dropped_bundles = link.guard_dropped_bundles;
-    out.guard_round_influence = link.guard_round_influence;
-    out.guard_round_absorbed = link.guard_round_absorbed;
+    out.guard = link.guard;
   }
   image.alias_epoch = alias_epoch_;
   image.guard_slot_pool = guard_slot_pool_;
@@ -1168,15 +1152,7 @@ void Peer::RestoreImage(Image&& image) {
     link.session.rx.known_prefix = in.rx_known_prefix;
     link.replica_of_alias = std::move(in.replica_of_alias);
     link.value_rank = static_cast<uint8_t>(in.value_rank);
-    link.guard_score = in.guard_score;
-    link.guard_demote_level = static_cast<uint8_t>(in.guard_demote_level);
-    link.guard_rejections = in.guard_rejections;
-    link.guard_equivocations = in.guard_equivocations;
-    link.guard_oscillations = in.guard_oscillations;
-    link.guard_outliers = in.guard_outliers;
-    link.guard_dropped_bundles = in.guard_dropped_bundles;
-    link.guard_round_influence = in.guard_round_influence;
-    link.guard_round_absorbed = in.guard_round_absorbed;
+    link.guard = in.guard;
     alias_link_index_.emplace_back(in.peer, static_cast<uint32_t>(i));
   }
   std::sort(alias_link_index_.begin(), alias_link_index_.end());
@@ -1453,7 +1429,7 @@ std::vector<Outgoing> Peer::HandleProbe(const ProbeMessage& probe) {
       AnnounceToOwners(announcement, &out);
     }
     auto& cache = probe_cache_[probe.origin];
-    if (cache.size() < options_->max_cached_probes) cache.push_back(probe);
+    if (cache.size() < kMaxCachedProbes) cache.push_back(probe);
   }
 
   // Forward (flooding with TTL, simple routes only) to the neighbors that
@@ -1500,7 +1476,7 @@ bool Peer::GateAllows(EdgeId edge, AttributeId attribute) const {
       options_->granularity == Granularity::kCoarse
           ? MappingVarKey{edge, MappingVarKey::kWholeMapping}
           : MappingVarKey{edge, attribute};
-  if (!HasEvidence(var)) return options_->forward_without_evidence;
+  if (!HasEvidence(var)) return true;  // bootstrap: no evidence yet
   return Posterior(var) > options_->theta;
 }
 

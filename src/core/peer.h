@@ -37,30 +37,24 @@ struct QueryActions {
 
 // --- Adaptive value-precision tiers --------------------------------------------
 //
-// Under a value error budget (EngineOptions::value_precision) every belief
-// link carries a monotone precision tier: coarse quanta while the sending
-// peer's residual is large, stepping to fine — and optionally back to
-// exact raw doubles — as convergence nears. The tier is transmit-side
-// state only (bundles are self-describing), so step-ups survive loss and
-// mixed-precision traffic trivially.
+// Under a value error budget (EngineOptions::value_error_budget) every
+// belief link carries a monotone precision tier: coarse quanta while the
+// sending peer's residual is large, stepping to fine as convergence nears.
+// The tier is transmit-side state only (bundles are self-describing), so
+// step-ups survive loss and mixed-precision traffic trivially.
 
-/// Number of value-precision tiers (coarse, mid, fine, exact).
-inline constexpr uint32_t kValueRankCount = 4;
-/// The tier whose bundles return to raw doubles.
-inline constexpr uint32_t kValueRankExact = 3;
+/// Number of value-precision tiers (coarse, mid, fine).
+inline constexpr uint32_t kValueRankCount = 3;
 
-/// Fractional log-odds bits a bundle at `rank` uses under `precision`:
+/// Fractional log-odds bits a bundle at `rank` uses under `error_budget`:
 /// fine = ValueBitsForBudget(budget), mid/coarse = 3/6 fewer bits
-/// (clamped at 2), exact = 0 (raw doubles). With `adaptive` false, every
-/// rank below exact collapses to the fine tier.
-uint32_t ValueRankBits(const ValuePrecisionOptions& precision, uint32_t rank);
+/// (clamped at 2); 0 (raw doubles) when the budget is off.
+uint32_t ValueRankBits(double error_budget, uint32_t rank);
 
 /// Target tier for a peer whose last round's max posterior change was
-/// `residual`: coarse above 64ε, mid above 8ε, fine below — and exact
-/// once the residual clears `tolerance`, when `exact_at_convergence` is
-/// set. Links only ever step toward this target, never back.
-uint32_t ValueRankTarget(const ValuePrecisionOptions& precision,
-                         double residual, double tolerance);
+/// `residual`: coarse above 64ε, mid above 8ε, fine below. Links only ever
+/// step toward this target, never back.
+uint32_t ValueRankTarget(double error_budget, double residual);
 
 /// One autonomous peer database: schema, documents, outgoing mappings, and
 /// the peer's fragment of the global factor graph (Section 4.1).
@@ -212,19 +206,32 @@ class Peer {
   // --- Byzantine guard introspection -------------------------------------------
 
   /// One neighbor link's misbehavior state under the admission guard
-  /// (`EngineOptions::byzantine_guard`); all zeros when the guard is off.
+  /// (`EngineOptions::byzantine_guard`); all zeros while the guard is off.
+  /// Persisted in `LinkImage` (snapshot format v3) so demotion
+  /// trajectories replay identically after a restore.
+  struct LinkGuard {
+    /// Decaying misbehavior score: violations add their weight, and it
+    /// decays at each `ComputeRound`.
+    double score = 0.0;
+    /// 0 normal, 1 soft (damped absorption), 2 hard (bundles dropped).
+    /// Sticky: demotion never reverts, so replay from any snapshot reaches
+    /// the same decisions.
+    uint32_t demote_level = 0;
+    uint64_t rejections = 0;       ///< admission-rejected entries
+    uint64_t equivocations = 0;    ///< same-round conflicting values
+    uint64_t oscillations = 0;     ///< completed flip streaks
+    uint64_t outliers = 0;         ///< influence-outlier rounds
+    uint64_t dropped_bundles = 0;  ///< bundles dropped while quarantined
+    /// This round's absorbed |Δ log-odds| mass and entry count — the
+    /// influence-outlier feed, consumed and reset by `ComputeRound`.
+    double round_influence = 0.0;
+    uint32_t round_absorbed = 0;
+
+    bool operator==(const LinkGuard&) const = default;
+  };
   struct GuardLinkView {
     PeerId peer = 0;
-    /// Decaying misbehavior score (see ByzantineGuardOptions weights).
-    double score = 0.0;
-    /// 0 = normal, 1 = soft-demoted (beliefs damped toward uniform),
-    /// 2 = hard-quarantined (bundles dropped). Sticky.
-    uint32_t demote_level = 0;
-    uint64_t rejections = 0;     ///< admission-rejected entries
-    uint64_t equivocations = 0;  ///< same-round conflicting values
-    uint64_t oscillations = 0;   ///< flip streaks beyond the bound
-    uint64_t outliers = 0;       ///< influence-outlier rounds
-    uint64_t dropped_bundles = 0;  ///< bundles dropped while quarantined
+    LinkGuard guard;
   };
   /// Per-neighbor guard state, in link-intern order.
   std::vector<GuardLinkView> GuardViews() const;
@@ -358,18 +365,8 @@ class Peer {
     std::vector<uint32_t> replica_of_alias;
     /// Transmit-side value-precision tier (see `PeerLink::value_rank`).
     uint32_t value_rank = 0;
-    /// Byzantine-guard state (see `PeerLink`); zeros when the guard is
-    /// off. Persisted so demotion trajectories replay identically after a
-    /// restore (snapshot format v3).
-    double guard_score = 0.0;
-    uint32_t guard_demote_level = 0;
-    uint64_t guard_rejections = 0;
-    uint64_t guard_equivocations = 0;
-    uint64_t guard_oscillations = 0;
-    uint64_t guard_outliers = 0;
-    uint64_t guard_dropped_bundles = 0;
-    double guard_round_influence = 0.0;
-    uint32_t guard_round_absorbed = 0;
+    /// Byzantine-guard state; zeros when the guard is off.
+    LinkGuard guard;
   };
 
   /// Per-slot admission history under the Byzantine guard, parallel to
@@ -503,8 +500,9 @@ class Peer {
   bool RoutesIndependent(const std::vector<EdgeId>& a,
                          const std::vector<EdgeId>& b) const;
 
-  /// The θ-gate for a query attribute over one mapping (see
-  /// EngineOptions::forward_without_evidence).
+  /// The θ-gate for a query attribute over one mapping: ⊥ blocks, an
+  /// attribute without evidence passes, otherwise the posterior must
+  /// clear `EngineOptions::theta`.
   bool GateAllows(EdgeId edge, AttributeId attribute) const;
 
   PeerId id_;
@@ -562,35 +560,19 @@ class Peer {
     AliasLink session;
     std::vector<uint32_t> replica_of_alias;
     /// Transmit-side precision tier under a value error budget: 0 coarse,
-    /// 1 mid, 2 fine, 3 exact (raw doubles again). Stepped up — never
-    /// down — at the end of `ComputeRound` from the peer's residual, so a
-    /// link's precision trajectory is monotone and a peer restored from a
-    /// snapshot continues it identically. Unused when quantization is
-    /// off.
+    /// 1 mid, 2 fine. Stepped up — never down — at the end of
+    /// `ComputeRound` from the peer's residual, so a link's precision
+    /// trajectory is monotone and a peer restored from a snapshot continues
+    /// it identically. Unused when quantization is off.
     uint8_t value_rank = 0;
     /// Peer round (1-based `ComputeRound` count) the link's latest
     /// accepted bundle fed; 0 = never heard. Transient: not part of
     /// `LinkImage`, so after a restore the verdict waits for fresh traffic.
     uint64_t heard = 0;
 
-    // Byzantine-guard state (EngineOptions::byzantine_guard). All
-    // untouched — and all zero — while the guard is disabled.
-    /// Decaying misbehavior score; violations add their configured
-    /// weight, `score_decay` multiplies at each `ComputeRound`.
-    double guard_score = 0.0;
-    /// 0 normal, 1 soft (damped absorption), 2 hard (bundles dropped).
-    /// Sticky: demotion never reverts, so replay from any snapshot
-    /// reaches the same decisions.
-    uint8_t guard_demote_level = 0;
-    uint64_t guard_rejections = 0;
-    uint64_t guard_equivocations = 0;
-    uint64_t guard_oscillations = 0;
-    uint64_t guard_outliers = 0;
-    uint64_t guard_dropped_bundles = 0;
-    /// This round's absorbed |Δ log-odds| mass and entry count — the
-    /// influence-outlier feed, consumed and reset by `ComputeRound`.
-    double guard_round_influence = 0.0;
-    uint32_t guard_round_absorbed = 0;
+    /// Byzantine-guard state (EngineOptions::byzantine_guard); untouched
+    /// while the guard is disabled.
+    LinkGuard guard;
     /// An oscillation streak completed this round. Transient per-round
     /// state — scored once (not once per slot) and cleared by
     /// `ComputeRound`, never snapshotted: snapshots land at round

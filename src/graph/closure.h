@@ -64,18 +64,6 @@ std::vector<Closure> FindDirectedCycles(const Digraph& graph,
 std::vector<Closure> FindParallelPaths(const Digraph& graph,
                                        const ClosureFinderOptions& options);
 
-/// Enumerates simple cycles of the *underlying undirected* graph (mapping
-/// direction ignored), as used for undirected PDMS (Section 3.2). Each
-/// cycle is reported once; `edges` holds the mapping edge ids in traversal
-/// order (traversal may cross edges against their direction).
-std::vector<Closure> FindUndirectedCycles(const Digraph& graph,
-                                          const ClosureFinderOptions& options);
-
-/// Convenience: directed cycles plus parallel paths (the full directed-PDMS
-/// evidence set of Section 3.3).
-std::vector<Closure> FindAllDirectedClosures(const Digraph& graph,
-                                             const ClosureFinderOptions& options);
-
 }  // namespace pdms
 
 #endif  // PDMS_GRAPH_CLOSURE_H_

@@ -54,13 +54,11 @@ Result<std::unique_ptr<PdmsNode>> PdmsNode::Create(Pdms pdms,
   if (options.rejoin_grace_ms < 0) {
     return Status::InvalidArgument("rejoin_grace_ms must be >= 0");
   }
-  if (pdms.options().schedule != ScheduleKind::kPeriodic ||
-      pdms.options().period_ticks != 1) {
-    // Discovery may cost the shards a different tick count than a
-    // single-process run, so round schedules only stay aligned when every
-    // tick is a send tick.
+  if (pdms.options().schedule != ScheduleKind::kPeriodic) {
+    // RunRounds' one-quiet-round verdict assumes every shard sends on
+    // every belief link each round.
     return Status::FailedPrecondition(
-        "node mode requires the periodic schedule with period_ticks == 1");
+        "node mode requires the periodic schedule");
   }
   std::vector<bool> is_local(pdms.peer_count(), false);
   for (PeerId p = 0; p < pdms.peer_count(); ++p) {
@@ -810,9 +808,7 @@ bool PdmsNode::GateAllows(const Peer& owner, EdgeId edge,
           ? MappingVarKey{edge, MappingVarKey::kWholeMapping}
           : MappingVarKey{edge, attribute};
   const auto it = snapshot.posteriors.find(var.Packed());
-  if (it == snapshot.posteriors.end()) {
-    return engine_options.forward_without_evidence;
-  }
+  if (it == snapshot.posteriors.end()) return true;  // no evidence yet
   return it->second > engine_options.theta;
 }
 

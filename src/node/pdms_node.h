@@ -105,10 +105,9 @@ struct NodeOptions {
 class PdmsNode {
  public:
   /// Wraps a built `Pdms` whose transport is a `SocketTransport`. Requires
-  /// the periodic schedule with `period_ticks == 1`: shards advance ticks
-  /// in lockstep but discovery may cost a different tick count than the
-  /// single-process run, so every tick must be a send tick for the round
-  /// schedules to agree.
+  /// the periodic schedule: the one-quiet-round convergence verdict of
+  /// `RunRounds` holds only because every shard sends on every belief link
+  /// each round.
   static Result<std::unique_ptr<PdmsNode>> Create(Pdms pdms,
                                                   NodeOptions options);
 
@@ -205,8 +204,8 @@ class PdmsNode {
  private:
   /// Read-only posterior view rebuilt after every round: Packed
   /// MappingVarKey → posterior, an entry existing iff the owner has
-  /// evidence for the variable (the gate's forward_without_evidence rule
-  /// keys off absence).
+  /// evidence for the variable (absence lets the gate forward, as in
+  /// `Peer::GateAllows`).
   struct Snapshot {
     std::unordered_map<uint64_t, double> posteriors;
   };

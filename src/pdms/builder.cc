@@ -7,6 +7,39 @@
 #include "util/string_util.h"
 
 namespace pdms {
+namespace {
+
+/// Checks the final engine options, whichever setter supplied them, and
+/// canonicalizes the adversary list (`ByzantinePlan::IsAdversary` binary
+/// searches it). The negated comparisons reject NaN too.
+Status NormalizeOptions(size_t peer_count, EngineOptions* options) {
+  if (!(options->value_error_budget >= 0.0)) {
+    return Status::InvalidArgument(
+        "value error budget must be non-negative (0 disables quantization)");
+  }
+  if (!(options->byzantine_guard.soft_threshold > 0.0)) {
+    return Status::InvalidArgument(
+        "byzantine guard: soft_threshold must be positive");
+  }
+  ByzantinePlan& plan = options->byzantine;
+  const auto is_rate = [](double p) { return p >= 0.0 && p <= 1.0; };
+  if (!is_rate(plan.lie_probability) || !is_rate(plan.equivocate_rate)) {
+    return Status::InvalidArgument(
+        "byzantine plan: probabilities must lie in [0, 1]");
+  }
+  std::sort(plan.adversaries.begin(), plan.adversaries.end());
+  plan.adversaries.erase(
+      std::unique(plan.adversaries.begin(), plan.adversaries.end()),
+      plan.adversaries.end());
+  if (!plan.adversaries.empty() && plan.adversaries.back() >= peer_count) {
+    return Status::OutOfRange(StrFormat(
+        "byzantine plan: adversary %u outside the %zu peers added",
+        plan.adversaries.back(), peer_count));
+  }
+  return Status::Ok();
+}
+
+}  // namespace
 
 PdmsBuilder& PdmsBuilder::AddPeer(Schema schema) {
   schemas_.push_back(std::move(schema));
@@ -82,66 +115,17 @@ Result<Pdms> PdmsBuilder::Build() {
   if (!deferred_error_.ok()) {
     return deferred_error_;
   }
-  if (parallelism_.has_value()) {
-    options_.parallelism = *parallelism_;
-  }
+  if (parallelism_.has_value()) options_.parallelism = *parallelism_;
   if (value_error_budget_.has_value()) {
-    if (*value_error_budget_ < 0.0) {
-      return Status::InvalidArgument(
-          "value error budget must be non-negative (0 disables quantization)");
-    }
-    options_.value_precision.error_budget = *value_error_budget_;
+    options_.value_error_budget = *value_error_budget_;
   }
-  if (byzantine_guard_.has_value()) {
-    const ByzantineGuardOptions& g = *byzantine_guard_;
-    if (g.admission_weight < 0.0 || g.equivocation_weight < 0.0 ||
-        g.oscillation_weight < 0.0 || g.outlier_weight < 0.0) {
-      return Status::InvalidArgument(
-          "byzantine guard: score weights must be non-negative");
-    }
-    if (g.score_decay < 0.0 || g.score_decay >= 1.0) {
-      return Status::InvalidArgument(
-          "byzantine guard: score_decay must lie in [0, 1)");
-    }
-    if (g.soft_damping < 0.0 || g.soft_damping >= 1.0) {
-      return Status::InvalidArgument(
-          "byzantine guard: soft_damping must lie in [0, 1)");
-    }
-    if (g.soft_threshold <= 0.0 || g.hard_threshold <= 0.0 ||
-        g.hard_threshold < g.soft_threshold) {
-      return Status::InvalidArgument(
-          "byzantine guard: thresholds must be positive with hard >= soft");
-    }
-    if (g.flip_magnitude < 0.0 || g.outlier_ratio <= 1.0) {
-      return Status::InvalidArgument(
-          "byzantine guard: flip_magnitude must be non-negative and "
-          "outlier_ratio greater than 1");
-    }
-    options_.byzantine_guard = g;
-  }
-  if (byzantine_plan_.has_value()) {
-    ByzantinePlan plan = *byzantine_plan_;
-    if (plan.lie_probability < 0.0 || plan.lie_probability > 1.0 ||
-        plan.equivocate_rate < 0.0 || plan.equivocate_rate > 1.0) {
-      return Status::InvalidArgument(
-          "byzantine plan: probabilities must lie in [0, 1]");
-    }
-    std::sort(plan.adversaries.begin(), plan.adversaries.end());
-    plan.adversaries.erase(
-        std::unique(plan.adversaries.begin(), plan.adversaries.end()),
-        plan.adversaries.end());
-    options_.byzantine = std::move(plan);
-  }
+  if (byzantine_guard_.has_value()) options_.byzantine_guard = *byzantine_guard_;
+  if (byzantine_plan_.has_value()) options_.byzantine = *byzantine_plan_;
   if (schemas_.empty()) {
     return Status::FailedPrecondition("a PDMS needs at least one peer");
   }
   const size_t n = schemas_.size();
-  if (!options_.byzantine.adversaries.empty() &&
-      options_.byzantine.adversaries.back() >= n) {
-    return Status::OutOfRange(StrFormat(
-        "byzantine plan: adversary %u outside the %zu peers added",
-        options_.byzantine.adversaries.back(), n));
-  }
+  PDMS_RETURN_IF_ERROR(NormalizeOptions(n, &options_));
   std::set<std::pair<PeerId, PeerId>> links;
   for (size_t i = 0; i < mappings_.size(); ++i) {
     const PendingMapping& pending = mappings_[i];

@@ -26,9 +26,13 @@ namespace pdms {
 ///
 /// Peers are numbered in `AddPeer` order, mappings (edges) in `AddMapping`
 /// order. `Build()` validates the assembled network — endpoint ranges,
-/// duplicate links, mapping/schema arity and attribute ranges — and
-/// returns precise `Status` errors instead of the undefined behaviour the
-/// old raw parallel-vector construction invited. A builder is single-use:
+/// duplicate links, mapping/schema arity and attribute ranges — and the
+/// final engine options, whichever setter supplied them: a negative or NaN
+/// value error budget, a non-positive guard `soft_threshold`, chaos rates
+/// outside [0, 1] and adversaries outside the peers added are rejected,
+/// and the adversary list is sorted and deduplicated. Errors come back as
+/// precise `Status` values instead of the undefined behaviour the old raw
+/// parallel-vector construction invited. A builder is single-use:
 /// `Build()` consumes its state.
 class PdmsBuilder {
  public:
@@ -54,7 +58,7 @@ class PdmsBuilder {
   /// top of whatever `WithOptions` supplied, so call order does not matter.
   PdmsBuilder& WithParallelism(size_t parallelism);
 
-  /// Quantized belief wire values (`EngineOptions::value_precision`):
+  /// Quantized belief wire values (`EngineOptions::value_error_budget`):
   /// ship remote µ values as adaptive fixed-point log-odds quanta with a
   /// per-value error budget of `eps` (0 restores exact raw doubles, the
   /// default). Applied at `Build()` time on top of whatever
@@ -64,17 +68,15 @@ class PdmsBuilder {
   /// Byzantine-resilient belief admission
   /// (`EngineOptions::byzantine_guard`): semantic validation of every
   /// inbound belief entry plus per-neighbor misbehavior scoring with
-  /// soft/hard link demotion. `Build()` rejects malformed configurations
-  /// (negative weights or rates, thresholds out of order, damping or
-  /// decay outside [0, 1)). Applied at `Build()` time on top of whatever
+  /// soft/hard link demotion. `Build()` rejects a non-positive
+  /// `soft_threshold`. Applied at `Build()` time on top of whatever
   /// `WithOptions` supplied, so call order does not matter.
   PdmsBuilder& WithByzantineGuard(const ByzantineGuardOptions& guard);
 
   /// Seeded behavioral chaos (`EngineOptions::byzantine`): the listed
   /// adversaries forge their outgoing belief values per the plan.
-  /// `Build()` rejects probabilities outside [0, 1]; the adversary list
-  /// is sorted automatically (`ByzantinePlan::IsAdversary` binary
-  /// searches it).
+  /// Applied at `Build()` time on top of whatever `WithOptions` supplied,
+  /// and validated like every other option (see the class comment).
   PdmsBuilder& WithByzantinePlan(const ByzantinePlan& plan);
 
   /// Supplies a custom transport. The factory runs at `Build()` time with

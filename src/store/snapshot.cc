@@ -277,15 +277,15 @@ void PutPeerImage(Writer& w, const Peer::Image& image) {
     w.Varint(link.replica_of_alias.size());
     for (uint32_t replica : link.replica_of_alias) w.Fixed32(replica);
     w.U8(static_cast<uint8_t>(link.value_rank));
-    w.Double(link.guard_score);
-    w.U8(static_cast<uint8_t>(link.guard_demote_level));
-    w.Fixed64(link.guard_rejections);
-    w.Fixed64(link.guard_equivocations);
-    w.Fixed64(link.guard_oscillations);
-    w.Fixed64(link.guard_outliers);
-    w.Fixed64(link.guard_dropped_bundles);
-    w.Double(link.guard_round_influence);
-    w.Fixed32(link.guard_round_absorbed);
+    w.Double(link.guard.score);
+    w.U8(static_cast<uint8_t>(link.guard.demote_level));
+    w.Fixed64(link.guard.rejections);
+    w.Fixed64(link.guard.equivocations);
+    w.Fixed64(link.guard.oscillations);
+    w.Fixed64(link.guard.outliers);
+    w.Fixed64(link.guard.dropped_bundles);
+    w.Double(link.guard.round_influence);
+    w.Fixed32(link.guard.round_absorbed);
   }
   w.Fixed32(image.alias_epoch);
   w.Varint(image.guard_slot_pool.size());
@@ -429,16 +429,16 @@ Status GetPeerImage(Reader& r, Peer::Image* image) {
     for (uint32_t& replica : link.replica_of_alias) replica = r.Fixed32();
     link.value_rank = r.U8();
     if (link.value_rank >= kValueRankCount) return corrupt("link value rank");
-    link.guard_score = r.Double();
-    link.guard_demote_level = r.U8();
-    if (link.guard_demote_level > 2) return corrupt("link demote level");
-    link.guard_rejections = r.Fixed64();
-    link.guard_equivocations = r.Fixed64();
-    link.guard_oscillations = r.Fixed64();
-    link.guard_outliers = r.Fixed64();
-    link.guard_dropped_bundles = r.Fixed64();
-    link.guard_round_influence = r.Double();
-    link.guard_round_absorbed = r.Fixed32();
+    link.guard.score = r.Double();
+    link.guard.demote_level = r.U8();
+    if (link.guard.demote_level > 2) return corrupt("link demote level");
+    link.guard.rejections = r.Fixed64();
+    link.guard.equivocations = r.Fixed64();
+    link.guard.oscillations = r.Fixed64();
+    link.guard.outliers = r.Fixed64();
+    link.guard.dropped_bundles = r.Fixed64();
+    link.guard.round_influence = r.Double();
+    link.guard.round_absorbed = r.Fixed32();
   }
   image->alias_epoch = r.Fixed32();
   image->guard_slot_pool.resize(r.Count(19));
@@ -628,15 +628,20 @@ uint64_t ComputeStateEpoch(const Digraph& graph,
   HashU64(h, options.delta_override.has_value() ? 1 : 0);
   HashDouble(h, options.delta_override.value_or(0.0));
   HashDouble(h, options.theta);
-  HashU64(h, options.forward_without_evidence ? 1 : 0);
+  // Retired knobs that no deployment ever set hash their fixed values as
+  // literals, in their old positions, so existing snapshots keep loading:
+  // forwarding without evidence (always on), 128 cached probes per origin,
+  // period τ = 1, the adaptive tiers without an exact tail, and the
+  // guard's weights below.
+  HashU64(h, 1);
   HashU64(h, options.probe_ttl);
   HashU64(h, options.closure_limits.max_cycle_length);
   HashU64(h, options.closure_limits.min_cycle_length);
   HashU64(h, options.closure_limits.max_path_length);
   HashU64(h, options.closure_limits.max_closures);
-  HashU64(h, options.max_cached_probes);
+  HashU64(h, 128);
   HashU64(h, static_cast<uint64_t>(options.schedule));
-  HashU64(h, options.period_ticks);
+  HashU64(h, 1);
   HashU64(h, static_cast<uint64_t>(options.granularity));
   HashDouble(h, options.tolerance);
   // Formerly the convergence patience, which no deployment ever set:
@@ -646,9 +651,9 @@ uint64_t ComputeStateEpoch(const Digraph& graph,
   // The value error budget changes what travels on the wire (and thus the
   // posteriors), so snapshots taken under one precision policy must never
   // be resumed under another.
-  HashDouble(h, options.value_precision.error_budget);
-  HashU64(h, options.value_precision.adaptive ? 1 : 0);
-  HashU64(h, options.value_precision.exact_at_convergence ? 1 : 0);
+  HashDouble(h, options.value_error_budget);
+  HashU64(h, 1);
+  HashU64(h, 0);
   // The Byzantine guard changes what gets absorbed (and persists demotion
   // state in the image), and the chaos plan changes what goes on the
   // wire: a snapshot taken under one configuration must never be resumed
@@ -656,17 +661,17 @@ uint64_t ComputeStateEpoch(const Digraph& graph,
   const ByzantineGuardOptions& guard = options.byzantine_guard;
   HashU64(h, guard.enabled ? 1 : 0);
   if (guard.enabled) {
-    HashDouble(h, guard.score_decay);
-    HashDouble(h, guard.admission_weight);
-    HashDouble(h, guard.equivocation_weight);
-    HashDouble(h, guard.oscillation_weight);
-    HashDouble(h, guard.outlier_weight);
-    HashU64(h, guard.oscillation_bound);
-    HashDouble(h, guard.flip_magnitude);
-    HashDouble(h, guard.outlier_ratio);
+    // Score decay, the admission / equivocation / oscillation / outlier
+    // weights, oscillation bound, flip magnitude and outlier ratio.
+    for (const double literal : {0.9, 2.0, 4.0, 1.0, 0.5}) {
+      HashDouble(h, literal);
+    }
+    HashU64(h, 6);
+    HashDouble(h, 0.75);
+    HashDouble(h, 8.0);
     HashDouble(h, guard.soft_threshold);
-    HashDouble(h, guard.hard_threshold);
-    HashDouble(h, guard.soft_damping);
+    HashDouble(h, 2.0 * guard.soft_threshold);  // the hard threshold
+    HashDouble(h, 0.25);  // soft damping
   }
   const ByzantinePlan& chaos = options.byzantine;
   HashU64(h, chaos.Enabled() ? 1 : 0);

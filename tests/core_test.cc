@@ -445,16 +445,6 @@ TEST(EngineQueryTest, BottomBlocksForwardingEvenWithoutEvidence) {
             report.blocked_edges.end());
 }
 
-TEST(EngineQueryTest, ForwardWithoutEvidenceDisabledStopsColdStart) {
-  EngineOptions options;
-  options.forward_without_evidence = false;
-  IntroPdms intro = MakeIntro(options);
-  LoadDocuments(&intro.pdms);
-  const QueryReport report = intro.pdms.session().Query(1, RiverQuery(), 3);
-  EXPECT_EQ(report.reached.size(), 1u);  // only the origin answers
-  EXPECT_EQ(report.rows.size(), 2u);
-}
-
 TEST(EngineQueryTest, BatchedQueriesMatchSequentialOnConvergedNetwork) {
   IntroPdms intro = MakeIntro(EngineOptions{});
   LoadDocuments(&intro.pdms);
@@ -534,20 +524,6 @@ TEST(EngineScheduleTest, LazyPiggybacksOnQueries) {
   // ...yet the faulty mapping was identified.
   EXPECT_LT(intro.pdms.Posterior(intro.edges.m24, 0), 0.45);
   EXPECT_GT(intro.pdms.Posterior(intro.edges.m23, 0), 0.5);
-}
-
-TEST(EngineScheduleTest, PeriodicRespectsPeriod) {
-  EngineOptions options;
-  options.period_ticks = 3;
-  IntroPdms intro = MakeIntro(options);
-  Session& session = intro.pdms.session();
-  session.Discover();
-  uint64_t rounds_with_traffic = 0;
-  for (int i = 0; i < 9; ++i) {
-    const RoundReport report = session.Step();
-    if (report.belief_updates_sent > 0) ++rounds_with_traffic;
-  }
-  EXPECT_EQ(rounds_with_traffic, 3u);
 }
 
 // --- Fault tolerance (Section 5.1.3) ------------------------------------------------

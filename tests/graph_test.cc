@@ -151,20 +151,6 @@ TEST(ClosureTest, ParallelPathsSharingInteriorVertexExcluded) {
   }
 }
 
-TEST(ClosureTest, ExampleGraphUndirectedCycles) {
-  ExampleEdges ids;
-  const Digraph graph = topology::ExampleGraph(&ids);
-  ClosureFinderOptions options;
-  const auto cycles = FindUndirectedCycles(graph, options);
-  // Section 3.2: f1 = m12-m23-m34-m41, f2 = m12-m24-m41, f3 = m23-m34-m24.
-  ASSERT_EQ(cycles.size(), 3u);
-  std::set<std::set<EdgeId>> found;
-  for (const auto& c : cycles) found.insert(EdgeSet(c));
-  EXPECT_TRUE(found.count({ids.m12, ids.m23, ids.m34, ids.m41}) > 0);
-  EXPECT_TRUE(found.count({ids.m12, ids.m24, ids.m41}) > 0);
-  EXPECT_TRUE(found.count({ids.m23, ids.m34, ids.m24}) > 0);
-}
-
 TEST(ClosureTest, MinCycleLengthFiltersTwoCycles) {
   Digraph graph(2);
   const EdgeId ab = *graph.AddEdge(0, 1);

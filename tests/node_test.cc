@@ -26,7 +26,7 @@ namespace pdms {
 namespace {
 
 /// Same knobs as tools/pdms_node_main.cc — the workload every test level
-/// runs. period_ticks stays at its default of 1 (required by node mode).
+/// runs.
 EngineOptions WorkloadOptions() {
   EngineOptions options;
   options.delta_override = 0.1;
@@ -300,7 +300,7 @@ TEST(PdmsNodeTest, QuantizedResumeContinuesThePrecisionTrajectory) {
   const auto make_node =
       [&state_dir](double value_budget) -> std::unique_ptr<PdmsNode> {
     EngineOptions engine_options = WorkloadOptions();
-    engine_options.value_precision.error_budget = value_budget;
+    engine_options.value_error_budget = value_budget;
     bench::BibliographicPdms workload = bench::MakeBibliographicPdms(
         engine_options,
         [&](size_t peer_count, const EngineOptions&)

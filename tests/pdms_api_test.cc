@@ -3,6 +3,7 @@
 // InstantTransport, transport-equivalence of inference results, the
 // session observer hook, and the Result<T> utilities it leans on.
 
+#include <cmath>
 #include <functional>
 #include <memory>
 #include <string>
@@ -514,19 +515,7 @@ TEST(BuilderValidationTest, MalformedByzantineGuardIsRejected) {
     return IntroBuilder(EngineOptions{}).WithByzantineGuard(guard).Build();
   };
   ByzantineGuardOptions guard;
-  guard.score_decay = 1.0;  // decay must stay below 1 or scores never fade
-  EXPECT_EQ(build_with(guard).status().code(), StatusCode::kInvalidArgument);
-  guard = ByzantineGuardOptions{};
-  guard.hard_threshold = guard.soft_threshold / 2.0;  // hard below soft
-  EXPECT_EQ(build_with(guard).status().code(), StatusCode::kInvalidArgument);
-  guard = ByzantineGuardOptions{};
-  guard.admission_weight = -1.0;
-  EXPECT_EQ(build_with(guard).status().code(), StatusCode::kInvalidArgument);
-  guard = ByzantineGuardOptions{};
-  guard.outlier_ratio = 1.0;  // must exceed 1 or every clean link is an outlier
-  EXPECT_EQ(build_with(guard).status().code(), StatusCode::kInvalidArgument);
-  guard = ByzantineGuardOptions{};
-  guard.soft_damping = 1.0;
+  guard.soft_threshold = 0.0;  // every link would demote on first contact
   EXPECT_EQ(build_with(guard).status().code(), StatusCode::kInvalidArgument);
   // The defaults themselves must build.
   guard = ByzantineGuardOptions{};
@@ -559,6 +548,65 @@ TEST(BuilderValidationTest, ByzantinePlanValidatesRatesAndAdversaryRange) {
       IntroBuilder(EngineOptions{}).WithByzantinePlan(plan).Build().value();
   EXPECT_EQ(pdms.options().byzantine.adversaries,
             (std::vector<PeerId>{0, 2}));
+}
+
+// Build() validates the final options, however they were supplied: the
+// same checks hold when every knob arrives through WithOptions alone.
+
+TEST(BuilderValidationTest, WithOptionsRejectsAdversaryHiddenBehindSmallerId) {
+  EngineOptions options;
+  options.byzantine.lie_probability = 0.5;
+  options.byzantine.adversaries = {7, 1};  // the intro network has 4 peers
+  EXPECT_EQ(IntroBuilder(options).Build().status().code(),
+            StatusCode::kOutOfRange);
+}
+
+TEST(BuilderValidationTest, WithOptionsRejectsRatesOutsideTheUnitInterval) {
+  EngineOptions options;
+  options.byzantine.adversaries = {0};
+  options.byzantine.lie_probability = 1.5;
+  EXPECT_EQ(IntroBuilder(options).Build().status().code(),
+            StatusCode::kInvalidArgument);
+  options.byzantine.lie_probability = 0.5;
+  options.byzantine.equivocate_rate = -0.1;
+  EXPECT_EQ(IntroBuilder(options).Build().status().code(),
+            StatusCode::kInvalidArgument);
+  options.byzantine.equivocate_rate = std::nan("");
+  EXPECT_EQ(IntroBuilder(options).Build().status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(BuilderValidationTest, WithOptionsRejectsNegativeOrNanValueErrorBudget) {
+  EngineOptions options;
+  options.value_error_budget = -1e-3;
+  EXPECT_EQ(IntroBuilder(options).Build().status().code(),
+            StatusCode::kInvalidArgument);
+  options.value_error_budget = std::nan("");
+  EXPECT_EQ(IntroBuilder(options).Build().status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(BuilderValidationTest, WithOptionsRejectsNonPositiveSoftThreshold) {
+  EngineOptions options;
+  options.byzantine_guard.enabled = true;
+  options.byzantine_guard.soft_threshold = 0.0;
+  EXPECT_EQ(IntroBuilder(options).Build().status().code(),
+            StatusCode::kInvalidArgument);
+  options.byzantine_guard.soft_threshold = -6.0;
+  EXPECT_EQ(IntroBuilder(options).Build().status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(BuilderValidationTest, WithOptionsAdversaryListIsSortedAndDeduplicated) {
+  EngineOptions options;
+  options.byzantine.lie_probability = 0.5;
+  options.byzantine.adversaries = {3, 1, 3};
+  Pdms pdms = IntroBuilder(options).Build().value();
+  EXPECT_EQ(pdms.options().byzantine.adversaries,
+            (std::vector<PeerId>{1, 3}));
+  EXPECT_TRUE(pdms.options().byzantine.IsAdversary(1));
+  EXPECT_TRUE(pdms.options().byzantine.IsAdversary(3));
+  EXPECT_FALSE(pdms.options().byzantine.IsAdversary(2));
 }
 
 TEST(ByzantineGuardTest, GuardedAdversarialRunsAreParallelDeterministic) {
@@ -637,12 +685,12 @@ TEST(ByzantineGuardTest, ColludingNeighborsAreBothDemoted) {
     if (plan.IsAdversary(p)) continue;  // only honest receivers' verdicts
     for (const Peer::GuardLinkView& view : pdms.engine().peer(p).GuardViews()) {
       if (view.peer == 1) {
-        adversary1_demoted = adversary1_demoted || view.demote_level >= 1;
+        adversary1_demoted = adversary1_demoted || view.guard.demote_level >= 1;
       } else if (view.peer == 2) {
-        adversary2_demoted = adversary2_demoted || view.demote_level >= 1;
+        adversary2_demoted = adversary2_demoted || view.guard.demote_level >= 1;
       } else {
         ++honest_links;
-        if (view.demote_level >= 1) ++honest_demoted;
+        if (view.guard.demote_level >= 1) ++honest_demoted;
       }
     }
   }

@@ -399,57 +399,33 @@ TEST_F(PeerTest, AliasTablesRebuildAfterRemoveMapping) {
 // --- Quantized value precision ------------------------------------------------
 
 TEST(ValueRankTest, TierFormulasClampAndOrder) {
-  ValuePrecisionOptions precision;
-  precision.error_budget = 1e-3;  // fine tier: ceil(log2(8000)) = 13 bits
-  EXPECT_EQ(ValueRankBits(precision, 0), 7u);
-  EXPECT_EQ(ValueRankBits(precision, 1), 10u);
-  EXPECT_EQ(ValueRankBits(precision, 2), 13u);
-  // Without the exact tail, the top rank still ships the fine tier.
-  EXPECT_EQ(ValueRankBits(precision, kValueRankExact), 13u);
-  precision.exact_at_convergence = true;
-  EXPECT_EQ(ValueRankBits(precision, kValueRankExact), 0u);  // raw doubles
-
-  // Non-adaptive sessions pin every rank at the fine tier.
-  precision.exact_at_convergence = false;
-  precision.adaptive = false;
-  for (uint32_t rank = 0; rank < kValueRankCount; ++rank) {
-    EXPECT_EQ(ValueRankBits(precision, rank), 13u);
-  }
+  const double budget = 1e-3;  // fine tier: ceil(log2(8000)) = 13 bits
+  EXPECT_EQ(ValueRankBits(budget, 0), 7u);
+  EXPECT_EQ(ValueRankBits(budget, 1), 10u);
+  EXPECT_EQ(ValueRankBits(budget, 2), 13u);
 
   // Generous budgets hit the 2-bit floor instead of underflowing.
-  ValuePrecisionOptions loose;
-  loose.error_budget = 1.0;  // fine = 3 bits
+  const double loose = 1.0;  // fine = 3 bits
   EXPECT_EQ(ValueRankBits(loose, 0), 2u);
   EXPECT_EQ(ValueRankBits(loose, 1), 2u);
   EXPECT_EQ(ValueRankBits(loose, 2), 3u);
 
   // A zero budget means quantization is off at every rank.
-  ValuePrecisionOptions off;
   for (uint32_t rank = 0; rank < kValueRankCount; ++rank) {
-    EXPECT_EQ(ValueRankBits(off, rank), 0u);
+    EXPECT_EQ(ValueRankBits(0.0, rank), 0u);
   }
 }
 
 TEST(ValueRankTest, TargetTracksTheResidual) {
-  ValuePrecisionOptions precision;
-  precision.error_budget = 1e-3;
-  const double tolerance = 1e-7;
-  EXPECT_EQ(ValueRankTarget(precision, 1.0, tolerance), 0u);    // > 64eps
-  EXPECT_EQ(ValueRankTarget(precision, 1e-2, tolerance), 1u);   // > 8eps
-  EXPECT_EQ(ValueRankTarget(precision, 1e-4, tolerance), 2u);   // near done
-  // The exact tail engages only below the convergence tolerance.
-  EXPECT_EQ(ValueRankTarget(precision, 1e-8, tolerance), 2u);
-  precision.exact_at_convergence = true;
-  EXPECT_EQ(ValueRankTarget(precision, 1e-8, tolerance), kValueRankExact);
-  EXPECT_EQ(ValueRankTarget(precision, 1.0, tolerance), 0u);
-  // Non-adaptive: always the fine tier (the exact tail still applies).
-  precision.exact_at_convergence = false;
-  precision.adaptive = false;
-  EXPECT_EQ(ValueRankTarget(precision, 1.0, tolerance), 2u);
+  const double budget = 1e-3;
+  EXPECT_EQ(ValueRankTarget(budget, 1.0), 0u);   // > 64eps
+  EXPECT_EQ(ValueRankTarget(budget, 1e-2), 1u);  // > 8eps
+  EXPECT_EQ(ValueRankTarget(budget, 1e-4), 2u);  // near done
+  EXPECT_EQ(ValueRankTarget(budget, 1e-8), 2u);  // converged: still fine
 }
 
 TEST_F(PeerTest, QuantizedLinksStepUpMonotonicallyToTheFineTier) {
-  options_.value_precision.error_budget = 1e-3;
+  options_.value_error_budget = 1e-3;
   peers_[0]->IngestFeedback(F1Announcement());
   uint32_t previous_bits = 0;
   for (int round = 0; round < 60; ++round) {
@@ -469,23 +445,8 @@ TEST_F(PeerTest, QuantizedLinksStepUpMonotonicallyToTheFineTier) {
   EXPECT_EQ(previous_bits, 13u);  // residual shrank: fine tier reached
 }
 
-TEST_F(PeerTest, ExactTailRestoresRawDoublesAtConvergence) {
-  options_.tolerance = 1e-4;
-  options_.value_precision.error_budget = 1e-3;
-  options_.value_precision.exact_at_convergence = true;
-  peers_[0]->IngestFeedback(F1Announcement());
-  double change = 1.0;
-  for (int round = 0; round < 2000 && change >= options_.tolerance; ++round) {
-    change = peers_[0]->ComputeRound();
-  }
-  ASSERT_LT(change, options_.tolerance);
-  // The converged round ratcheted the link to the exact rank: bundles ship
-  // raw doubles (value format 0) from here on.
-  EXPECT_EQ(BundleFromTo(*peers_[0], 1).value_bits, 0u);
-}
-
 TEST_F(PeerTest, RestoredPeerContinuesThePrecisionTrajectoryIdentically) {
-  options_.value_precision.error_budget = 1e-3;
+  options_.value_error_budget = 1e-3;
   peers_[0]->IngestFeedback(F1Announcement());
   for (int round = 0; round < 5; ++round) peers_[0]->ComputeRound();
   const Peer::Image image = peers_[0]->CaptureImage();
@@ -892,8 +853,8 @@ TEST_F(PeerTest, GuardRejectsMalformedMeasures) {
         views.begin(), views.end(),
         [](const Peer::GuardLinkView& v) { return v.peer == 3; });
     ASSERT_NE(sender, views.end());
-    EXPECT_EQ(sender->rejections, 3u);
-    EXPECT_EQ(sender->score, 0.0);
+    EXPECT_EQ(sender->guard.rejections, 3u);
+    EXPECT_EQ(sender->guard.score, 0.0);
   }
 
   // A negative measure cannot arise from honest arithmetic — it is a
@@ -908,8 +869,8 @@ TEST_F(PeerTest, GuardRejectsMalformedMeasures) {
       views.begin(), views.end(),
       [](const Peer::GuardLinkView& v) { return v.peer == 3; });
   ASSERT_NE(guilty, views.end());
-  EXPECT_EQ(guilty->rejections, 4u);
-  EXPECT_GT(guilty->score, 0.0);
+  EXPECT_EQ(guilty->guard.rejections, 4u);
+  EXPECT_GT(guilty->guard.score, 0.0);
 
   peers_[0]->ComputeRound();
   EXPECT_NEAR(peers_[0]->Posterior(MappingVarKey{edges_.m12, 0}), before,
@@ -944,8 +905,8 @@ TEST_F(PeerTest, GuardEnforcesSlotOwnership) {
       views.begin(), views.end(),
       [](const Peer::GuardLinkView& v) { return v.peer == 3; });
   ASSERT_NE(guilty, views.end());
-  EXPECT_EQ(guilty->rejections, 2u);
-  EXPECT_GT(guilty->score, 0.0);
+  EXPECT_EQ(guilty->guard.rejections, 2u);
+  EXPECT_GT(guilty->guard.score, 0.0);
 
   // The same value from the slot's actual owner is admitted untouched.
   BeliefMessage honest;
@@ -977,7 +938,7 @@ TEST_F(PeerTest, GuardFlagsSameRoundEquivocationAndKeepsFirstValue) {
       views.begin(), views.end(),
       [](const Peer::GuardLinkView& v) { return v.peer == 1; });
   ASSERT_NE(guilty, views.end());
-  EXPECT_EQ(guilty->equivocations, 1u);
+  EXPECT_EQ(guilty->guard.equivocations, 1u);
 
   // First-value-wins: re-delivering the ORIGINAL value after the
   // conflicting one is still consistent with what the pool holds.
@@ -1021,23 +982,47 @@ TEST_F(PeerTest, GuardRejectsQuantInconsistentValues) {
 
 TEST_F(PeerTest, GuardDemotesOscillatingNeighborStickily) {
   options_.byzantine_guard.enabled = true;
-  // One full flip streak should cross the soft threshold by itself.
-  options_.byzantine_guard.oscillation_weight =
-      options_.byzantine_guard.soft_threshold;
   peers_[0]->IngestFeedback(F1Announcement());
   peers_[0]->ComputeRound();
   const FactorId id = FactorId::Make(F1Announcement().closure, 0);
+  const auto link_to_3 = [&]() {
+    const auto views = peers_[0]->GuardViews();
+    const auto it = std::find_if(
+        views.begin(), views.end(),
+        [](const Peer::GuardLinkView& v) { return v.peer == 3; });
+    EXPECT_NE(it, views.end());
+    return it == views.end() ? Peer::LinkGuard{} : it->guard;
+  };
 
   // Alternate a strong pro / strong con value every round: each round
-  // reverses the slot's direction, and after `oscillation_bound`
-  // reversals the streak scores one oscillation event.
-  uint32_t demoted_at = 0;
-  for (uint32_t round = 0; round < 32; ++round) {
+  // reverses the slot's direction, and after six reversals the streak
+  // scores one oscillation event (weight 1).
+  uint32_t swings = 0;
+  for (; swings < 32 && link_to_3().oscillations == 0; ++swings) {
     BeliefMessage swing;
     const Belief value =
-        (round % 2 == 0) ? Belief{0.99, 0.01} : Belief{0.01, 0.99};
+        (swings % 2 == 0) ? Belief{0.99, 0.01} : Belief{0.01, 0.99};
     swing.AddGroup(0, id, {BeliefEntry{3, value}});
     ASSERT_TRUE(peers_[0]->AbsorbBeliefBundle(3, swing).ok());
+    peers_[0]->ComputeRound();
+  }
+  EXPECT_EQ(link_to_3().oscillations, 1u);
+  // One streak per six rounds on a single slot peaks near a score of 2:
+  // oscillation alone stays under the soft threshold of 6.
+  EXPECT_EQ(link_to_3().demote_level, 0u);
+  EXPECT_LT(link_to_3().score, options_.byzantine_guard.soft_threshold);
+
+  // Equivocations (weight 4 each) on top of the oscillation score push the
+  // link over the soft threshold, but not to the hard one at 2x.
+  uint32_t demoted_at = 0;
+  for (uint32_t round = 1; round <= 4; ++round) {
+    BeliefMessage first;
+    first.AddGroup(0, id, {BeliefEntry{3, Belief{0.7, 0.3}}});
+    BeliefMessage conflicting;
+    conflicting.AddGroup(0, id, {BeliefEntry{3, Belief{0.2, 0.8}}});
+    ASSERT_TRUE(peers_[0]->AbsorbBeliefBundle(3, first).ok());
+    EXPECT_EQ(peers_[0]->AbsorbBeliefBundle(3, conflicting).code(),
+              StatusCode::kFailedPrecondition);
     peers_[0]->ComputeRound();
     if (peers_[0]->guard_demoted_links() > 0) {
       demoted_at = round;
@@ -1045,19 +1030,17 @@ TEST_F(PeerTest, GuardDemotesOscillatingNeighborStickily) {
     }
   }
   EXPECT_GT(demoted_at, 0u);
-  const auto views = peers_[0]->GuardViews();
-  const auto guilty = std::find_if(
-      views.begin(), views.end(),
-      [](const Peer::GuardLinkView& v) { return v.peer == 3; });
-  ASSERT_NE(guilty, views.end());
-  EXPECT_GE(guilty->oscillations, 1u);
-  EXPECT_EQ(guilty->demote_level, 1u);
+  const Peer::LinkGuard guilty = link_to_3();
+  EXPECT_EQ(guilty.oscillations, 1u);
+  EXPECT_EQ(guilty.equivocations, demoted_at);
+  EXPECT_EQ(guilty.demote_level, 1u);
 
   // Demotion is sticky: honest rounds afterwards do not parole the link
   // even as the score decays below the threshold.
   for (uint32_t round = 0; round < 40; ++round) {
     peers_[0]->ComputeRound();
   }
+  EXPECT_LT(link_to_3().score, options_.byzantine_guard.soft_threshold);
   EXPECT_EQ(peers_[0]->guard_demoted_links(), 1u);
 }
 

@@ -316,7 +316,7 @@ TEST(SnapshotCodecTest, LinkValueRanksSurviveTheRoundTrip) {
   // tiers: restore must hand every link its exact rank back, or the
   // resumed run would re-send coarse values the original never did.
   EngineOptions options;
-  options.value_precision.error_budget = 1e-3;
+  options.value_error_budget = 1e-3;
   Pdms pdms = MakeIntroPdms(options);
   NodeSnapshot snapshot = MakeSnapshot(pdms);
   bool saw_links = false;
@@ -355,27 +355,15 @@ TEST(SnapshotCodecTest, RejectsOutOfRangeLinkValueRank) {
 TEST(StateEpochTest, ValuePrecisionReKeysTheEpoch) {
   // Quantization changes what travels on the wire and therefore the
   // posteriors: a snapshot taken under one budget must never resume under
-  // another, and each precision knob re-keys independently.
+  // another.
   Pdms pdms = MakeIntroPdms();
   const std::vector<uint32_t> shard_of = {0, 1, 0, 1};
   const EngineOptions options = pdms.options();
   const uint64_t epoch = ComputeStateEpoch(pdms.graph(), shard_of, 2, options);
 
   EngineOptions budgeted = options;
-  budgeted.value_precision.error_budget = 1e-3;
-  const uint64_t budgeted_epoch =
-      ComputeStateEpoch(pdms.graph(), shard_of, 2, budgeted);
-  EXPECT_NE(epoch, budgeted_epoch);
-
-  EngineOptions fixed_tier = budgeted;
-  fixed_tier.value_precision.adaptive = false;
-  EXPECT_NE(budgeted_epoch,
-            ComputeStateEpoch(pdms.graph(), shard_of, 2, fixed_tier));
-
-  EngineOptions exact_tail = budgeted;
-  exact_tail.value_precision.exact_at_convergence = true;
-  EXPECT_NE(budgeted_epoch,
-            ComputeStateEpoch(pdms.graph(), shard_of, 2, exact_tail));
+  budgeted.value_error_budget = 1e-3;
+  EXPECT_NE(epoch, ComputeStateEpoch(pdms.graph(), shard_of, 2, budgeted));
 }
 
 TEST(SnapshotCodecTest, GuardStateSurvivesTheRoundTrip) {
@@ -393,15 +381,16 @@ TEST(SnapshotCodecTest, GuardStateSurvivesTheRoundTrip) {
     peer.round = 29;
     for (size_t l = 0; l < peer.links.size(); ++l) {
       Peer::LinkImage& link = peer.links[l];
-      link.guard_score = 3.25 + static_cast<double>(l);
-      link.guard_demote_level = static_cast<uint32_t>(l % 3);
-      link.guard_rejections = 11 + l;
-      link.guard_equivocations = 5 + l;
-      link.guard_oscillations = 2 + l;
-      link.guard_outliers = 1 + l;
-      link.guard_dropped_bundles = 7 + l;
-      link.guard_round_influence = 0.5 * static_cast<double>(l);
-      link.guard_round_absorbed = static_cast<uint32_t>(l);
+      Peer::LinkGuard& guard = link.guard;
+      guard.score = 3.25 + static_cast<double>(l);
+      guard.demote_level = static_cast<uint32_t>(l % 3);
+      guard.rejections = 11 + l;
+      guard.equivocations = 5 + l;
+      guard.oscillations = 2 + l;
+      guard.outliers = 1 + l;
+      guard.dropped_bundles = 7 + l;
+      guard.round_influence = 0.5 * static_cast<double>(l);
+      guard.round_absorbed = static_cast<uint32_t>(l);
       saw_links = true;
     }
     for (size_t s = 0; s < peer.guard_slot_pool.size(); ++s) {
@@ -423,23 +412,8 @@ TEST(SnapshotCodecTest, GuardStateSurvivesTheRoundTrip) {
     EXPECT_EQ(restored.round, expected.round);
     ASSERT_EQ(restored.links.size(), expected.links.size());
     for (size_t l = 0; l < expected.links.size(); ++l) {
-      EXPECT_EQ(restored.links[l].guard_score, expected.links[l].guard_score);
-      EXPECT_EQ(restored.links[l].guard_demote_level,
-                expected.links[l].guard_demote_level);
-      EXPECT_EQ(restored.links[l].guard_rejections,
-                expected.links[l].guard_rejections);
-      EXPECT_EQ(restored.links[l].guard_equivocations,
-                expected.links[l].guard_equivocations);
-      EXPECT_EQ(restored.links[l].guard_oscillations,
-                expected.links[l].guard_oscillations);
-      EXPECT_EQ(restored.links[l].guard_outliers,
-                expected.links[l].guard_outliers);
-      EXPECT_EQ(restored.links[l].guard_dropped_bundles,
-                expected.links[l].guard_dropped_bundles);
-      EXPECT_EQ(restored.links[l].guard_round_influence,
-                expected.links[l].guard_round_influence);
-      EXPECT_EQ(restored.links[l].guard_round_absorbed,
-                expected.links[l].guard_round_absorbed);
+      EXPECT_TRUE(restored.links[l].guard == expected.links[l].guard)
+          << "peer " << p << " link " << l;
     }
     ASSERT_EQ(restored.guard_slot_pool.size(), expected.guard_slot_pool.size());
     for (size_t s = 0; s < expected.guard_slot_pool.size(); ++s) {
@@ -481,6 +455,40 @@ TEST(StateEpochTest, ByzantineKnobsReKeyTheEpoch) {
   chaos.byzantine.lie_probability = 0.25;
   chaos.byzantine.adversaries = {1};
   EXPECT_NE(epoch, ComputeStateEpoch(pdms.graph(), shard_of, 2, chaos));
+}
+
+TEST(StateEpochTest, PinnedToTheValuesEarlierBuildsComputed) {
+  // Retired settings hash their fixed values as literals in their old
+  // positions, so every configuration still expressible keys to exactly
+  // the epoch earlier builds computed, and their --state-dir snapshots
+  // keep loading. The literals below were computed before the settings
+  // were retired.
+  Pdms pdms = MakeIntroPdms();
+  const std::vector<uint32_t> shard_of = {0, 1, 0, 1};
+  const auto epoch = [&](const EngineOptions& options) {
+    return ComputeStateEpoch(pdms.graph(), shard_of, 2, options);
+  };
+  const EngineOptions defaults = pdms.options();
+  EXPECT_EQ(epoch(defaults), 0x5c7e94c504e80441ull);
+
+  EngineOptions guarded = defaults;
+  guarded.byzantine_guard.enabled = true;  // soft 6, hard 12
+  EXPECT_EQ(epoch(guarded), 0x9c2280d23a900076ull);
+  guarded.byzantine_guard.soft_threshold = 9.0;  // hard 18
+  EXPECT_EQ(epoch(guarded), 0x41ed29fe1263ffd6ull);
+
+  EngineOptions budgeted = defaults;
+  budgeted.value_error_budget = 1e-3;
+  EXPECT_EQ(epoch(budgeted), 0x1de4f7cd347c8147ull);
+
+  EngineOptions chaos = defaults;
+  chaos.byzantine.seed = 42;
+  chaos.byzantine.lie_probability = 0.25;
+  chaos.byzantine.invert_values = true;
+  chaos.byzantine.equivocate_rate = 0.2;
+  chaos.byzantine.adversaries = {1, 3};
+  chaos.byzantine.collude = true;
+  EXPECT_EQ(epoch(chaos), 0x33e094ea8580609eull);
 }
 
 TEST(StateEpochTest, ScheduleKnobsDoNotReKeyTheEpoch) {

@@ -55,7 +55,6 @@
 
 #include <sys/stat.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <cmath>
 #include <csignal>
@@ -175,8 +174,6 @@ bool ParsePeerListFlag(int argc, char** argv, const char* name,
     if (comma == std::string::npos) break;
     begin = comma + 1;
   }
-  std::sort(out->begin(), out->end());
-  out->erase(std::unique(out->begin(), out->end()), out->end());
   return true;
 }
 
@@ -225,8 +222,8 @@ int ParseByzantineCli(int argc, char** argv, ByzantineCli* out) {
 
 EngineOptions WorkloadOptions(double value_budget,
                               const ByzantineCli& byzantine) {
-  // Mirrors examples/bibliographic_alignment.cpp; period_ticks stays 1
-  // (required by node mode) and the wire is lossless in both modes.
+  // Mirrors examples/bibliographic_alignment.cpp; the wire is lossless in
+  // both modes. PdmsBuilder sorts and deduplicates the adversary list.
   EngineOptions options;
   options.delta_override = 0.1;
   options.probe_ttl = 4;
@@ -235,11 +232,10 @@ EngineOptions WorkloadOptions(double value_budget,
   options.damping = 0.5;
   // Budget participates in the state epoch: a node restarted with a
   // different --value-error-budget refuses its old snapshots.
-  options.value_precision.error_budget = value_budget;
+  options.value_error_budget = value_budget;
   if (byzantine.guard) {
     options.byzantine_guard.enabled = true;
     options.byzantine_guard.soft_threshold = byzantine.demote_threshold;
-    options.byzantine_guard.hard_threshold = 2.0 * byzantine.demote_threshold;
   }
   if (!byzantine.lie_peers.empty() && byzantine.lie_probability > 0.0) {
     options.byzantine.seed = byzantine.lie_seed;
