@@ -67,6 +67,10 @@ namespace {
 
 constexpr uint64_t kSeed = 2026;
 constexpr size_t kAttrs = 6;
+/// Quantized-wire gate at 10k peers: x4 below the 19.67 B of an exact
+/// 2-cycle belief update under wire format v4. Stated per update rather
+/// than as a ratio to the exact row, which wire format v5 shrinks too.
+constexpr double kMaxQuantizedBytesPerUpdate = 4.91;
 
 struct BenchResult {
   std::string topology;
@@ -785,22 +789,28 @@ int Main(int argc, char** argv) {
             quantized.bytes_per_round > 0.0
                 ? serial_bytes / quantized.bytes_per_round
                 : 0.0;
+        const double bytes_per_update =
+            quantized.belief_updates_per_round > 0.0
+                ? quantized.bytes_per_round / quantized.belief_updates_per_round
+                : 0.0;
         std::printf(
             "%s n=%-6zu quantized eps=%.0e p=1  %8.2f rounds/s  "
-            "%.1f MB/round (%.1f%% values)  x%.2f wire reduction  "
-            "max|Δposterior|=%.1e\n",
+            "%.1f MB/round (%.1f%% values)  %.2f B/update  "
+            "x%.2f wire reduction  max|Δposterior|=%.1e\n",
             topology.c_str(), quantized.peers, quantized.value_budget,
             quantized.rounds_per_sec, quantized.bytes_per_round / 1e6,
             quantized.bytes_per_round > 0.0
                 ? 100.0 * quantized.value_bytes_per_round /
                       quantized.bytes_per_round
                 : 0.0,
-            reduction, quantized.max_posterior_diff_vs_serial);
-        if (peers >= 10000 && reduction < 4.0) {
+            bytes_per_update, reduction,
+            quantized.max_posterior_diff_vs_serial);
+        if (peers >= 10000 && bytes_per_update > kMaxQuantizedBytesPerUpdate) {
           std::fprintf(stderr,
-                       "FAIL: %s n=%zu quantized wire reduction x%.2f "
-                       "< x4.00 target\n",
-                       topology.c_str(), peers, reduction);
+                       "FAIL: %s n=%zu quantized wire %.2f B/update "
+                       "> %.2f B/update target\n",
+                       topology.c_str(), peers, bytes_per_update,
+                       kMaxQuantizedBytesPerUpdate);
           wire_reduction_ok = false;
         }
         results.push_back(std::move(quantized));

@@ -22,32 +22,49 @@ int64_t UnZigZag(uint64_t value) {
 
 // --- Encoder sinks -------------------------------------------------------------
 //
-// One templated encoding pass serves both the size computation (CountingSink)
+// One templated encoding pass serves both the byte accounts (CountingSink)
 // and the actual serialization (AppendSink); the two can therefore never
-// drift apart.
+// drift apart. Every write names the account its bytes belong to.
+
+enum class WireSection : uint8_t {
+  kFraming,  ///< everything no other section claims (incl. positions)
+  kAlias,    ///< bundle header varints, alias tokens, entry counts
+  kKey,      ///< 16-byte factor fingerprints
+  kValue,    ///< µ values: raw doubles or quantum varints
+};
 
 struct CountingSink {
-  size_t size = 0;
-  void Byte(uint8_t) { ++size; }
-  void Bytes(const void*, size_t n) { size += n; }
+  size_t bytes[4] = {};  ///< per `WireSection`
+  void Byte(uint8_t, WireSection section = WireSection::kFraming) {
+    ++bytes[static_cast<size_t>(section)];
+  }
+  void Bytes(const void*, size_t n,
+             WireSection section = WireSection::kFraming) {
+    bytes[static_cast<size_t>(section)] += n;
+  }
+  size_t size() const { return bytes[0] + bytes[1] + bytes[2] + bytes[3]; }
 };
 
 struct AppendSink {
   std::vector<uint8_t>* out;
-  void Byte(uint8_t b) { out->push_back(b); }
-  void Bytes(const void* data, size_t n) {
+  void Byte(uint8_t b, WireSection = WireSection::kFraming) {
+    out->push_back(b);
+  }
+  void Bytes(const void* data, size_t n,
+             WireSection = WireSection::kFraming) {
     const uint8_t* bytes = static_cast<const uint8_t*>(data);
     out->insert(out->end(), bytes, bytes + n);
   }
 };
 
 template <typename Sink>
-void PutVarint(Sink& sink, uint64_t value) {
+void PutVarint(Sink& sink, uint64_t value,
+               WireSection section = WireSection::kFraming) {
   while (value >= 0x80) {
-    sink.Byte(static_cast<uint8_t>(value) | 0x80);
+    sink.Byte(static_cast<uint8_t>(value) | 0x80, section);
     value >>= 7;
   }
-  sink.Byte(static_cast<uint8_t>(value));
+  sink.Byte(static_cast<uint8_t>(value), section);
 }
 
 template <typename Sink>
@@ -58,18 +75,16 @@ void PutFixed32(Sink& sink, uint32_t value) {
   sink.Bytes(bytes, 4);
 }
 
-template <typename Sink>
-void PutFixed64(Sink& sink, uint64_t value) {
-  uint8_t bytes[8];
-  for (int i = 0; i < 8; ++i) bytes[i] = static_cast<uint8_t>(value >> (8 * i));
-  sink.Bytes(bytes, 8);
+void StoreFixed64(uint8_t* out, uint64_t value) {
+  for (int i = 0; i < 8; ++i) out[i] = static_cast<uint8_t>(value >> (8 * i));
 }
 
 template <typename Sink>
-void PutFixed16(Sink& sink, uint16_t value) {
-  const uint8_t bytes[2] = {static_cast<uint8_t>(value),
-                            static_cast<uint8_t>(value >> 8)};
-  sink.Bytes(bytes, 2);
+void PutFixed64(Sink& sink, uint64_t value,
+                WireSection section = WireSection::kFraming) {
+  uint8_t bytes[8];
+  StoreFixed64(bytes, value);
+  sink.Bytes(bytes, 8, section);
 }
 
 template <typename Sink>
@@ -121,48 +136,73 @@ void EncodeFeedback(const FeedbackAnnouncement& message, Sink& sink) {
   }
 }
 
+/// The one exact µ-value encoding, shared by belief bundles and query
+/// piggybacks: varint(`key` << 2 | form), then each component the form
+/// does not imply as a raw double. Form bit 0 says `correct` is exactly
+/// 1.0 and is not shipped, bit 1 the same for `incorrect`: every
+/// var->factor message leaves `Belief::Rescaled()` with one component
+/// exactly 1.0 (x / x is exact), so one double per update is implied.
+///
+/// Branch-free and always inlined: forms vary entry by entry, and this
+/// runs per update in the transports' per-send byte accounting.
+template <typename Sink>
+[[gnu::always_inline]] inline void PutFormTaggedValue(Sink& sink, uint64_t key,
+                                                      const Belief& belief) {
+  constexpr uint64_t kOne = std::bit_cast<uint64_t>(1.0);
+  const uint64_t correct = std::bit_cast<uint64_t>(belief.correct);
+  const uint64_t incorrect = std::bit_cast<uint64_t>(belief.incorrect);
+  PutVarint(sink, (key << 2) | (correct == kOne ? 1 : 0) |
+                      (incorrect == kOne ? 2 : 0));
+  uint8_t raw[16];
+  size_t size = 0;
+  StoreFixed64(raw, correct);
+  size += correct == kOne ? 0 : 8;
+  StoreFixed64(raw + size, incorrect);
+  size += incorrect == kOne ? 0 : 8;
+  sink.Bytes(raw, size, WireSection::kValue);
+}
+
 template <typename Sink>
 void EncodeBelief(const BeliefMessage& message, Sink& sink) {
-  // Byte-for-byte the model `BundleBreakdown` (message.cc) accounts:
   // varint(epoch) + varint(ack) + varint(value_bits) + varint(#groups);
-  // per group the zigzag alias-delta token (low bit = "full id present"),
-  // the optional 16-byte fingerprint, varint(#entries); per entry a
-  // zigzag position-delta varint plus the value — two raw doubles under
-  // value_bits == 0, else the entry's quantum as one `QuantWireToken`
-  // varint.
+  // per group the alias token (zigzag alias delta << 2, bit 1 = "full id
+  // present", bit 0 = "single entry"), the optional 16-byte fingerprint
+  // and varint(#entries) unless the single-entry bit says 1; per entry,
+  // under value_bits == 0, the form-tagged value keyed by the zigzag
+  // position delta (`PutFormTaggedValue`), else varint(zigzag position
+  // delta) and the quantum as one `QuantWireToken` varint.
   const bool quantized = message.value_bits != 0;
-  PutVarint(sink, message.epoch);
-  PutVarint(sink, message.ack);
-  PutVarint(sink, message.value_bits);
-  PutVarint(sink, message.groups.size());
+  PutVarint(sink, message.epoch, WireSection::kAlias);
+  PutVarint(sink, message.ack, WireSection::kAlias);
+  PutVarint(sink, message.value_bits, WireSection::kAlias);
+  PutVarint(sink, message.groups.size(), WireSection::kAlias);
   uint32_t previous_alias = 0;
   for (const BeliefGroup& group : message.groups) {
     const bool has_id = !group.id.IsNil();
-    const uint64_t token =
-        (ZigZag(static_cast<int64_t>(group.alias) -
-                static_cast<int64_t>(previous_alias))
-         << 1) |
-        (has_id ? 1 : 0);
-    PutVarint(sink, token);
-    previous_alias = group.alias;
-    if (has_id) {
-      PutFixed64(sink, group.id.hi);
-      PutFixed64(sink, group.id.lo);
-    }
     const std::span<const BeliefEntry> entries = message.EntriesOf(group);
     assert(entries.size() == group.entry_count &&
            "belief group entry range out of bundle bounds");
-    PutVarint(sink, entries.size());
+    const bool single = entries.size() == 1;
+    const uint64_t alias_delta = ZigZag(static_cast<int64_t>(group.alias) -
+                                        static_cast<int64_t>(previous_alias));
+    PutVarint(sink, (alias_delta << 2) | (has_id ? 2 : 0) | (single ? 1 : 0),
+                WireSection::kAlias);
+    previous_alias = group.alias;
+    if (has_id) {
+      PutFixed64(sink, group.id.hi, WireSection::kKey);
+      PutFixed64(sink, group.id.lo, WireSection::kKey);
+    }
+    if (!single) PutVarint(sink, entries.size(), WireSection::kAlias);
     uint32_t previous_position = 0;
     for (const BeliefEntry& entry : entries) {
-      PutVarint(sink, ZigZag(static_cast<int64_t>(entry.position) -
-                             static_cast<int64_t>(previous_position)));
+      const uint64_t delta = ZigZag(static_cast<int64_t>(entry.position) -
+                                    static_cast<int64_t>(previous_position));
       previous_position = entry.position;
       if (quantized) {
-        PutVarint(sink, QuantWireToken(entry.quant));
+        PutVarint(sink, delta);
+        PutVarint(sink, QuantWireToken(entry.quant), WireSection::kValue);
       } else {
-        PutDouble(sink, entry.belief.correct);
-        PutDouble(sink, entry.belief.incorrect);
+        PutFormTaggedValue(sink, delta, entry.belief);
       }
     }
   }
@@ -184,13 +224,9 @@ void EncodeQuery(const QueryMessage& message, Sink& sink) {
   for (PeerId peer : message.visited) PutFixed32(sink, peer);
   PutVarint(sink, message.piggyback.size());
   for (const BeliefUpdate& update : message.piggyback) {
-    PutFixed64(sink, update.factor.hi);
-    PutFixed64(sink, update.factor.lo);
-    assert(update.position <= std::numeric_limits<uint16_t>::max() &&
-           "piggyback position exceeds the uint16 wire field");
-    PutFixed16(sink, static_cast<uint16_t>(update.position));
-    PutDouble(sink, update.belief.correct);
-    PutDouble(sink, update.belief.incorrect);
+    PutFixed64(sink, update.factor.hi, WireSection::kKey);
+    PutFixed64(sink, update.factor.lo, WireSection::kKey);
+    PutFormTaggedValue(sink, update.position, update.belief);
   }
 }
 
@@ -302,14 +338,6 @@ class Reader {
     return Status::Ok();
   }
 
-  Status ReadFixed16(uint16_t* out) {
-    if (remaining() < 2) return Truncated("fixed16");
-    *out = static_cast<uint16_t>(data_[pos_] |
-                                 (static_cast<uint16_t>(data_[pos_ + 1]) << 8));
-    pos_ += 2;
-    return Status::Ok();
-  }
-
   Status ReadDouble(double* out) {
     uint64_t bits = 0;
     PDMS_RETURN_IF_ERROR(ReadFixed64(&bits));
@@ -344,6 +372,33 @@ class Reader {
 };
 
 // --- Payload decoding ----------------------------------------------------------
+
+/// One component of a form-tagged value: 1.0 when its form bit implies
+/// it, else a raw double. Canonical only: a raw 1.0 the form bit could
+/// have implied would re-encode to other bytes, so it is refused like a
+/// non-minimal varint.
+Status ReadValueComponent(Reader& reader, bool implied, double* out) {
+  if (implied) {
+    *out = 1.0;
+    return Status::Ok();
+  }
+  PDMS_RETURN_IF_ERROR(reader.ReadDouble(out));
+  if (*out == 1.0) {
+    return Status::InvalidArgument(
+        "raw 1.0 belief component where the value form implies it");
+  }
+  return Status::Ok();
+}
+
+/// Inverse of `PutFormTaggedValue`.
+Status ReadFormTaggedValue(Reader& reader, uint64_t* key, Belief* belief) {
+  uint64_t token = 0;
+  PDMS_RETURN_IF_ERROR(reader.ReadVarint(&token));
+  *key = token >> 2;
+  PDMS_RETURN_IF_ERROR(
+      ReadValueComponent(reader, (token & 1) != 0, &belief->correct));
+  return ReadValueComponent(reader, (token & 2) != 0, &belief->incorrect);
+}
 
 Status DecodeProbe(Reader& reader, ProbeMessage* probe) {
   PDMS_RETURN_IF_ERROR(reader.ReadFixed32(&probe->origin));
@@ -439,16 +494,18 @@ Status DecodeBelief(Reader& reader, BeliefMessage* message) {
   const int64_t quant_bound =
       quantized ? QuantBound(message->value_bits) : 0;
   size_t group_count = 0;
-  // Min per group: alias token varint + entry-count varint.
-  PDMS_RETURN_IF_ERROR(reader.ReadCount(2, &group_count, "belief group"));
+  // Min per group: the alias token varint (a single-entry group carries
+  // no entry count).
+  PDMS_RETURN_IF_ERROR(reader.ReadCount(1, &group_count, "belief group"));
   message->groups.resize(group_count);
   message->entries.clear();
   int64_t previous_alias = 0;
   for (BeliefGroup& group : message->groups) {
     uint64_t token = 0;
     PDMS_RETURN_IF_ERROR(reader.ReadVarint(&token));
-    const bool has_id = (token & 1) != 0;
-    const int64_t alias = previous_alias + UnZigZag(token >> 1);
+    const bool single = (token & 1) != 0;
+    const bool has_id = (token & 2) != 0;
+    const int64_t alias = previous_alias + UnZigZag(token >> 2);
     if (alias < 0 || alias >= static_cast<int64_t>(kMaxAliasesPerSession)) {
       return Status::OutOfRange(
           StrFormat("belief alias %lld outside the per-session bound",
@@ -466,17 +523,30 @@ Status DecodeBelief(Reader& reader, BeliefMessage* message) {
     } else {
       group.id = FactorId{};
     }
-    size_t entry_count = 0;
-    // Min per entry: position-delta varint + two 8-byte doubles, or one
-    // quantum varint under the quantized format.
-    PDMS_RETURN_IF_ERROR(
-        reader.ReadCount(quantized ? 2 : 17, &entry_count, "belief entry"));
+    size_t entry_count = 1;
+    if (!single) {
+      // Min per entry: one position token (both raw components implied
+      // by its form bits), or position + quantum varints when quantized.
+      PDMS_RETURN_IF_ERROR(
+          reader.ReadCount(quantized ? 2 : 1, &entry_count, "belief entry"));
+      if (entry_count == 1) {
+        return Status::InvalidArgument(
+            "explicit belief entry count 1 where the single-entry bit "
+            "implies it");
+      }
+    }
     group.entry_begin = static_cast<uint32_t>(message->entries.size());
     group.entry_count = static_cast<uint32_t>(entry_count);
     int64_t previous_position = 0;
     for (size_t i = 0; i < entry_count; ++i) {
+      BeliefEntry entry;
       uint64_t delta = 0;
-      PDMS_RETURN_IF_ERROR(reader.ReadVarint(&delta));
+      if (quantized) {
+        PDMS_RETURN_IF_ERROR(reader.ReadVarint(&delta));
+      } else {
+        PDMS_RETURN_IF_ERROR(
+            ReadFormTaggedValue(reader, &delta, &entry.belief));
+      }
       const int64_t position = previous_position + UnZigZag(delta);
       if (position < 0 ||
           position > std::numeric_limits<uint32_t>::max()) {
@@ -485,7 +555,6 @@ Status DecodeBelief(Reader& reader, BeliefMessage* message) {
                       static_cast<long long>(position)));
       }
       previous_position = position;
-      BeliefEntry entry;
       entry.position = static_cast<uint32_t>(position);
       if (quantized) {
         uint64_t token = 0;
@@ -499,9 +568,6 @@ Status DecodeBelief(Reader& reader, BeliefMessage* message) {
         }
         entry.quant = quant;
         entry.belief = DequantizeLogOdds(quant, message->value_bits);
-      } else {
-        PDMS_RETURN_IF_ERROR(reader.ReadDouble(&entry.belief.correct));
-        PDMS_RETURN_IF_ERROR(reader.ReadDouble(&entry.belief.incorrect));
       }
       message->entries.push_back(entry);
     }
@@ -547,17 +613,21 @@ Status DecodeQuery(Reader& reader, QueryMessage* message) {
     PDMS_RETURN_IF_ERROR(reader.ReadFixed32(&peer));
   }
   size_t piggyback_count = 0;
-  // 16 fingerprint bytes + uint16 position + two doubles per update.
-  PDMS_RETURN_IF_ERROR(reader.ReadCount(34, &piggyback_count, "piggyback"));
+  // 16 fingerprint bytes + the form-tagged position token per update.
+  PDMS_RETURN_IF_ERROR(reader.ReadCount(17, &piggyback_count, "piggyback"));
   message->piggyback.resize(piggyback_count);
   for (BeliefUpdate& update : message->piggyback) {
     PDMS_RETURN_IF_ERROR(reader.ReadFixed64(&update.factor.hi));
     PDMS_RETURN_IF_ERROR(reader.ReadFixed64(&update.factor.lo));
-    uint16_t position = 0;
-    PDMS_RETURN_IF_ERROR(reader.ReadFixed16(&position));
-    update.position = position;
-    PDMS_RETURN_IF_ERROR(reader.ReadDouble(&update.belief.correct));
-    PDMS_RETURN_IF_ERROR(reader.ReadDouble(&update.belief.incorrect));
+    uint64_t position = 0;
+    PDMS_RETURN_IF_ERROR(
+        ReadFormTaggedValue(reader, &position, &update.belief));
+    if (position > std::numeric_limits<uint32_t>::max()) {
+      return Status::OutOfRange(
+          StrFormat("piggyback position %llu outside 32 bits",
+                    static_cast<unsigned long long>(position)));
+    }
+    update.position = static_cast<uint32_t>(position);
   }
   return Status::Ok();
 }
@@ -567,16 +637,23 @@ Status DecodeQuery(Reader& reader, QueryMessage* message) {
 size_t EncodedPayloadSize(const Payload& payload) {
   CountingSink sink;
   EncodePayloadTo(payload, sink);
-  return sink.size;
+  return sink.size();
+}
+
+WireBreakdown PayloadWireBreakdown(const Payload& payload) {
+  CountingSink sink;
+  EncodePayloadTo(payload, sink);
+  WireBreakdown breakdown;
+  breakdown.bytes = sink.size();
+  breakdown.alias_bytes = sink.bytes[static_cast<size_t>(WireSection::kAlias)];
+  breakdown.key_bytes = sink.bytes[static_cast<size_t>(WireSection::kKey)];
+  breakdown.value_bytes = sink.bytes[static_cast<size_t>(WireSection::kValue)];
+  return breakdown;
 }
 
 void EncodePayload(const Payload& payload, std::vector<uint8_t>* out) {
-  const size_t before = out->size();
   AppendSink sink{out};
   EncodePayloadTo(payload, sink);
-  (void)before;
-  assert(out->size() - before == PayloadWireBreakdown(payload).bytes &&
-         "encoder and wire-size accounting disagree");
 }
 
 Result<Payload> DecodePayload(MessageKind kind,
@@ -731,9 +808,9 @@ void EncodeFrame(const Frame& frame, uint64_t link_seq,
   CountingSink counter;
   PutVarint(counter, link_seq);
   EncodeFrameBodyTo(frame, counter);
-  assert(counter.size <= kMaxFrameBytes && "frame exceeds kMaxFrameBytes");
+  assert(counter.size() <= kMaxFrameBytes && "frame exceeds kMaxFrameBytes");
   AppendSink sink{out};
-  PutFixed32(sink, static_cast<uint32_t>(counter.size));
+  PutFixed32(sink, static_cast<uint32_t>(counter.size()));
   const size_t crc_at = out->size();
   PutFixed32(sink, 0);  // checksum backpatched below
   const size_t covered_at = out->size();

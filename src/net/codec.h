@@ -15,22 +15,23 @@ namespace pdms {
 
 // --- Payload codec -------------------------------------------------------------
 //
-// The exact binary realization of the wire model `ApproximateWireSize` has
-// been accounting since PR 3: LEB128 varints for counts and headers, zigzag
-// deltas for belief aliases and member positions, raw little-endian doubles
-// for message values, and 16-byte fingerprints only where a binding is
-// declared. The encoder is the single source of truth for payload byte
-// counts — `ApproximateWireSize` now derives from it (the belief fast path
-// keeps its one-pass model and is cross-checked against the encoder in
-// debug builds), so the bench gates measure real bytes.
+// The exact binary realization of the wire model: LEB128 varints for
+// counts and headers, zigzag deltas for belief aliases and member
+// positions, form-tagged raw little-endian doubles for exact message
+// values, and 16-byte fingerprints only where a binding is declared. The
+// encoder is the single source of truth for payload byte counts —
+// `EncodedPayloadSize` and `PayloadWireBreakdown` (message.h) are passes
+// of the same templated encoder — so the bench gates measure real bytes.
 //
 // Decoding is strict: truncated input, overlong or non-minimal varints,
 // counts exceeding the bytes that could back them, aliases beyond
 // `kMaxAliasesPerSession`, unknown enum values and trailing garbage are all
 // rejected with a `Status` — forged traffic can be refused, never crash the
-// receiver. Doubles are transparent (any 8-byte pattern round-trips
-// bitwise): the transport must not perturb belief values, the factor layer
-// owns their numeric hygiene.
+// receiver. Every accepted payload re-encodes to the identical bytes, so
+// non-canonical forms (an explicit count the single-entry bit implies, a
+// raw 1.0 a value form implies) are refused too. Doubles are transparent
+// (any 8-byte pattern round-trips bitwise): the transport must not
+// perturb belief values, the factor layer owns their numeric hygiene.
 
 /// Version byte carried by every frame; bumped on incompatible changes.
 /// v2: CRC32 frame checksum, per-link sequence numbers, session handshake.
@@ -41,7 +42,15 @@ namespace pdms {
 ///     quantized entries carry one zigzag quantum varint instead of two
 ///     doubles. Quanta outside the declared precision's bound are
 ///     rejected as forged (OutOfRange).
-inline constexpr uint8_t kWireFormatVersion = 4;
+/// v5: exact values drop the implied 1.0 and single-entry groups their
+///     count. A raw entry's position token is zigzag(position delta) << 2
+///     | form, where form bit 0 says `correct` is exactly 1.0 and is not
+///     shipped, bit 1 the same for `incorrect`; the other components
+///     follow as raw doubles. Query piggybacks carry the same form-tagged
+///     value keyed by the member position. Every group's alias token
+///     gains a low "single entry" bit, and the entry-count varint is
+///     written only when the count is not 1.
+inline constexpr uint8_t kWireFormatVersion = 5;
 
 /// Sentinel encoding ⊥ (nullopt) in probe trails. Schema attribute images
 /// are dense small ids, so the all-ones pattern is never a real attribute.
@@ -50,8 +59,7 @@ inline constexpr uint32_t kNullAttributeWire = 0xffffffffu;
 /// Exact encoded size of `payload`, by a counting pass of the encoder.
 size_t EncodedPayloadSize(const Payload& payload);
 
-/// Appends the encoding of `payload` to `out`. In debug builds, asserts
-/// that the bytes produced equal `PayloadWireBreakdown(payload).bytes`.
+/// Appends the encoding of `payload` to `out`.
 void EncodePayload(const Payload& payload, std::vector<uint8_t>* out);
 
 /// Decodes a payload of `kind` from exactly `bytes` (trailing bytes are an

@@ -368,43 +368,19 @@ constexpr size_t kMessageKindCount = 4;
 std::string_view MessageKindName(MessageKind kind);
 MessageKind KindOf(const Payload& payload);
 
-/// Bytes of `value` as a LEB128-style varint (1 byte per 7 payload bits) —
-/// the integer encoding the belief-bundle wire model assumes.
-size_t VarintWireSize(uint64_t value);
-
-/// Exact size of `payload` on the wire: the byte count `EncodePayload`
-/// (src/net/codec.h) produces. Used by transports to account bytes moved.
-/// Belief bundles keep a one-pass analytic model (cross-checked against
-/// the encoder in debug builds); the model is
-/// varint(epoch) + varint(ack) + varint(value_bits) + varint(#groups),
-/// then per group a varint alias token (zigzag alias delta vs the
-/// previous group, low bit = "full id present"), the optional 16-byte
-/// fingerprint, varint(#entries), and per entry a zigzag position-delta
-/// varint plus the value: two raw doubles under value_bits == 0, else
-/// one quantum varint (`QuantWireToken`).
-size_t ApproximateWireSize(const Payload& payload);
-
-/// The factor-identity bytes inside `payload` under the same encoding: one
-/// `FactorId` fingerprint per *unacknowledged* belief group (alias binding
-/// declarations / loss refallback) and per piggybacked update, zero for
-/// identity-free traffic. Transports account these separately so the scale
-/// benchmarks can report how much of the wire is key overhead.
-size_t FactorIdWireBytes(const Payload& payload);
-
-/// The alias/header overhead inside `payload` under the same encoding:
-/// epoch + ack + group count varints plus each group's alias token and
-/// entry-count varints. This is the price of the session-alias scheme
-/// (the bytes that replace the fingerprints `FactorIdWireBytes` counts);
-/// the scale benchmarks report it as `alias_bytes_per_round`.
-size_t AliasWireBytes(const Payload& payload);
-
-/// All byte accounts of a payload in one traversal — what the
-/// transports call per send, so the hot path walks a belief bundle once
-/// instead of once per metric. `bytes` always equals
-/// `ApproximateWireSize`, `key_bytes` `FactorIdWireBytes`, and
-/// `alias_bytes` `AliasWireBytes`; `value_bytes` is the µ values
-/// themselves (raw doubles or quantum varints, incl. query piggybacks),
-/// so `bytes - value_bytes` is the header share the transports report as
+/// All byte accounts of a payload, from one pass of the encoder
+/// (src/net/codec.cc) with a sink that tags each byte it would write —
+/// what the transports call per send. `bytes` always equals
+/// `EncodedPayloadSize`. `key_bytes` are the `FactorId` fingerprints:
+/// one per *unacknowledged* belief group (alias binding declarations /
+/// loss refallback) and per piggybacked update, the key overhead the
+/// scale benchmarks track. `alias_bytes` are a bundle's epoch, ack,
+/// value-format and group-count varints plus each group's alias token
+/// and entry-count varint: the price of the session-alias scheme (the
+/// bytes that replace the fingerprints), reported as
+/// `alias_bytes_per_round`. `value_bytes` are the µ values themselves
+/// (raw doubles or quantum varints, incl. query piggybacks), so
+/// `bytes - value_bytes` is the header share the transports report as
 /// `header_bytes_sent`.
 struct WireBreakdown {
   size_t bytes = 0;

@@ -47,7 +47,7 @@ void AtomicTransportStats::SnapshotTo(TransportStats* out) const {
   out->key_bytes_sent = key_bytes_sent.load(std::memory_order_relaxed);
   out->alias_bytes_sent = alias_bytes_sent.load(std::memory_order_relaxed);
   out->value_bytes_sent = value_bytes_sent.load(std::memory_order_relaxed);
-  out->header_bytes_sent = header_bytes_sent.load(std::memory_order_relaxed);
+  out->header_bytes_sent = out->bytes_sent - out->value_bytes_sent;
   out->frames_dropped_at_shutdown =
       frames_dropped_at_shutdown.load(std::memory_order_relaxed);
 }
@@ -62,7 +62,6 @@ void AtomicTransportStats::Reset() {
   key_bytes_sent.store(0, std::memory_order_relaxed);
   alias_bytes_sent.store(0, std::memory_order_relaxed);
   value_bytes_sent.store(0, std::memory_order_relaxed);
-  header_bytes_sent.store(0, std::memory_order_relaxed);
   frames_dropped_at_shutdown.store(0, std::memory_order_relaxed);
 }
 

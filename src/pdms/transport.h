@@ -19,16 +19,18 @@ struct TransportStats {
   std::array<uint64_t, kMessageKindCount> sent{};
   std::array<uint64_t, kMessageKindCount> dropped{};
   std::array<uint64_t, kMessageKindCount> delivered{};
-  /// Estimated payload bytes accepted for delivery (drops excluded), per
-  /// `ApproximateWireSize` — the "bytes moved" of the scale benchmarks.
+  /// Payload bytes accepted for delivery (drops excluded), per
+  /// `EncodedPayloadSize` — the "bytes moved" of the scale benchmarks.
   uint64_t bytes_sent = 0;
   /// The subset of `bytes_sent` spent on factor-identity fingerprints
-  /// (`FactorIdWireBytes`) — the key overhead the scale benchmarks track.
+  /// (`WireBreakdown::key_bytes`) — the key overhead the scale
+  /// benchmarks track.
   /// With session aliasing this decays to ~0 once bindings are acked.
   uint64_t key_bytes_sent = 0;
   /// The subset of `bytes_sent` spent on belief-bundle alias headers
-  /// (`AliasWireBytes`) — what the alias scheme pays to *replace* the
-  /// fingerprints; reported as `alias_bytes_per_round` by the benchmarks.
+  /// (`WireBreakdown::alias_bytes`) — what the alias scheme pays to
+  /// *replace* the fingerprints; reported as `alias_bytes_per_round` by
+  /// the benchmarks.
   uint64_t alias_bytes_sent = 0;
   /// The subset of `bytes_sent` spent on the µ values themselves
   /// (`WireBreakdown::value_bytes`: raw doubles, or quantum varints under
@@ -36,8 +38,7 @@ struct TransportStats {
   uint64_t value_bytes_sent = 0;
   /// Everything else: `bytes_sent - value_bytes_sent` (framing varints,
   /// alias headers, fingerprints, positions, probe/feedback structure),
-  /// maintained alongside so the value/header split is measured, not
-  /// estimated.
+  /// derived when the counters are read.
   uint64_t header_bytes_sent = 0;
   /// Frames still unacknowledged when the transport shut down and stopped
   /// retransmitting (they may or may not have reached the receiver). Zero
@@ -61,7 +62,6 @@ struct AtomicTransportStats {
   std::atomic<uint64_t> key_bytes_sent{0};
   std::atomic<uint64_t> alias_bytes_sent{0};
   std::atomic<uint64_t> value_bytes_sent{0};
-  std::atomic<uint64_t> header_bytes_sent{0};
   std::atomic<uint64_t> frames_dropped_at_shutdown{0};
 
   /// Counts one send attempt of `kind` (drops included — `sent` tracks
@@ -74,11 +74,12 @@ struct AtomicTransportStats {
   /// `TransportStats::bytes_sent` semantics.
   void CountPayloadBytes(const WireBreakdown& wire) {
     bytes_sent.fetch_add(wire.bytes, std::memory_order_relaxed);
-    key_bytes_sent.fetch_add(wire.key_bytes, std::memory_order_relaxed);
+    // Zero once alias bindings are acked: skip the contended add.
+    if (wire.key_bytes != 0) {
+      key_bytes_sent.fetch_add(wire.key_bytes, std::memory_order_relaxed);
+    }
     alias_bytes_sent.fetch_add(wire.alias_bytes, std::memory_order_relaxed);
     value_bytes_sent.fetch_add(wire.value_bytes, std::memory_order_relaxed);
-    header_bytes_sent.fetch_add(wire.bytes - wire.value_bytes,
-                                std::memory_order_relaxed);
   }
   /// Attempt + bytes in one call, for transports that never drop.
   void CountSent(MessageKind kind, const WireBreakdown& wire) {

@@ -42,7 +42,11 @@ namespace pdms {
 /// scores, demotion levels and violation counters, the per-slot
 /// admission histories, and the peer round clock — so demotion
 /// trajectories replay identically after a restore.
-inline constexpr uint32_t kSnapshotFormatVersion = 3;
+///
+/// v4: in-flight inbox and probe-cache payloads are stored in wire format
+/// v5 (`EncodePayload`); a v3 file's v4 bundles would parse under the v5
+/// token rules and could be misread without any error.
+inline constexpr uint32_t kSnapshotFormatVersion = 4;
 
 /// Deterministic fingerprint of the deployment a snapshot belongs to:
 /// topology (nodes, every edge ever added, shard placement) plus the

@@ -1,13 +1,22 @@
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
+#include <memory>
+#include <mutex>
 #include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "graph/topology.h"
+#include "mapping/mapping_generator.h"
 #include "net/codec.h"
 #include "net/message.h"
 #include "net/network.h"
+#include "pdms/builder.h"
+#include "pdms/pdms.h"
+#include "util/rng.h"
 
 namespace pdms {
 namespace {
@@ -99,15 +108,6 @@ TEST(FactorIdTest, StableRendering) {
   EXPECT_EQ(id.ToString().size(), 33u);  // 16 hex + ':' + 16 hex
 }
 
-TEST(VarintTest, WireSizeGrowsEverySevenBits) {
-  EXPECT_EQ(VarintWireSize(0), 1u);
-  EXPECT_EQ(VarintWireSize(127), 1u);
-  EXPECT_EQ(VarintWireSize(128), 2u);
-  EXPECT_EQ(VarintWireSize((1u << 14) - 1), 2u);
-  EXPECT_EQ(VarintWireSize(1u << 14), 3u);
-  EXPECT_EQ(VarintWireSize(~0ull), 10u);
-}
-
 TEST(AliasSessionTest, TxAssignsDenselyAndIdempotently) {
   AliasSessionTx tx;
   EXPECT_EQ(tx.Assign(FactorId{1, 1}), 0u);
@@ -143,43 +143,55 @@ TEST(AliasSessionTest, RxBindingsAdvanceContiguousPrefixOverHoles) {
 
 TEST(BeliefWireFormatTest, BareAliasGroupsBeatTheFingerprintEncoding) {
   // Binding declaration (first mention): epoch(1) + ack(1) + value
-  // format(1) + #groups(1) + alias token(1) + fingerprint(16) +
-  // #entries(1) + position(1) + 16.
+  // format(1) + #groups(1) + alias token(1, single-entry bit set: no
+  // count) + fingerprint(16) + position token(1) + two raw doubles (16;
+  // neither component of {0.7, 0.3} is 1.0).
   const BeliefMessage first = MakeBelief();
-  EXPECT_EQ(ApproximateWireSize(Payload{first}), 39u);
-  EXPECT_EQ(FactorIdWireBytes(Payload{first}), 16u);
-  EXPECT_EQ(AliasWireBytes(Payload{first}), 6u);
+  const WireBreakdown first_wire = PayloadWireBreakdown(Payload{first});
+  EXPECT_EQ(first_wire.bytes, 38u);
+  EXPECT_EQ(first_wire.key_bytes, 16u);
+  EXPECT_EQ(first_wire.alias_bytes, 5u);
+  EXPECT_EQ(first_wire.value_bytes, 16u);
 
   // Steady state (acked binding): the fingerprint is gone and the same
-  // update costs 23 bytes against 34 under the pre-alias encoding — the
-  // worst case (singleton group); multi-update groups amortize further.
+  // update costs 22 bytes against 34 under the pre-alias encoding — the
+  // worst case (singleton group of an unnormalized measure).
   BeliefMessage steady;
-  steady.AddGroup(0, FactorId{}, {BeliefEntry{0, Belief::FromProbability(0.7)}});
-  EXPECT_EQ(ApproximateWireSize(Payload{steady}), 23u);
-  EXPECT_EQ(FactorIdWireBytes(Payload{steady}), 0u);
-  EXPECT_EQ(AliasWireBytes(Payload{steady}), 6u);
+  steady.AddGroup(0, FactorId{},
+                  {BeliefEntry{0, Belief::FromProbability(0.7)}});
+  const WireBreakdown steady_wire = PayloadWireBreakdown(Payload{steady});
+  EXPECT_EQ(steady_wire.bytes, 22u);
+  EXPECT_EQ(steady_wire.key_bytes, 0u);
+  EXPECT_EQ(steady_wire.alias_bytes, 5u);
 
-  // One alias header amortized over three delta-encoded entries.
+  // One alias header and count amortized over three delta-encoded unit
+  // entries, whose form bits imply both components.
   BeliefMessage grouped;
   grouped.AddGroup(3, FactorId{},
                    {BeliefEntry{0, Belief::Unit()}, BeliefEntry{1, Belief::Unit()},
                     BeliefEntry{2, Belief::Unit()}});
-  EXPECT_EQ(ApproximateWireSize(Payload{grouped}), 4u + 2u + 3u * 17u);
+  EXPECT_EQ(EncodedPayloadSize(Payload{grouped}), 4u + 2u + 3u * 1u);
+  EXPECT_EQ(PayloadWireBreakdown(Payload{grouped}).value_bytes, 0u);
 
-  // The one-pass transport breakdown agrees with the per-metric functions.
-  for (const BeliefMessage& message : {first, steady, grouped}) {
-    const WireBreakdown breakdown = PayloadWireBreakdown(Payload{message});
-    EXPECT_EQ(breakdown.bytes, ApproximateWireSize(Payload{message}));
-    EXPECT_EQ(breakdown.key_bytes, FactorIdWireBytes(Payload{message}));
-    EXPECT_EQ(breakdown.alias_bytes, AliasWireBytes(Payload{message}));
-  }
+  // A rescaled measure ships its one non-1.0 component.
+  BeliefMessage rescaled;
+  rescaled.AddGroup(0, FactorId{},
+                    {BeliefEntry{0, Belief::FromProbability(0.7).Rescaled()}});
+  EXPECT_EQ(EncodedPayloadSize(Payload{rescaled}), 4u + 1u + 1u + 8u);
 
-  // Positions past the one-byte varint range cost exact zigzag-delta
-  // varints (two bytes each here).
+  // Positions past the one-byte token range (|delta| < 16 next to the
+  // two form bits) cost exact zigzag-delta varints (two bytes each here).
   BeliefMessage wide;
   wide.AddGroup(0, FactorId{},
                 {BeliefEntry{64, Belief::Unit()}, BeliefEntry{200, Belief::Unit()}});
-  EXPECT_EQ(ApproximateWireSize(Payload{wide}), 4u + 2u + (2u + 16u) + (2u + 16u));
+  EXPECT_EQ(EncodedPayloadSize(Payload{wide}), 4u + 2u + 2u + 2u);
+
+  // Every account above comes from one encoder pass: the size pass agrees.
+  for (const BeliefMessage& message :
+       {first, steady, grouped, rescaled, wide}) {
+    EXPECT_EQ(PayloadWireBreakdown(Payload{message}).bytes,
+              EncodedPayloadSize(Payload{message}));
+  }
 }
 
 // --- Quantized belief values ---------------------------------------------------
@@ -244,7 +256,7 @@ TEST(QuantizationTest, WireTokensRoundTripIncludingSentinels) {
     EXPECT_EQ(QuantFromWireToken(QuantWireToken(quant)), quant);
   }
   // Saturated small-tier quanta stay one byte on the wire.
-  EXPECT_EQ(VarintWireSize(QuantWireToken(0)), 1u);
+  EXPECT_LT(QuantWireToken(0), 0x80u);
 }
 
 TEST(SimTransportTest, DeliversAfterDelay) {
@@ -310,7 +322,6 @@ void ExpectRoundTrip(const Payload& payload) {
   const std::vector<uint8_t> bytes = Encoded(payload);
   EXPECT_EQ(bytes.size(), EncodedPayloadSize(payload));
   EXPECT_EQ(bytes.size(), PayloadWireBreakdown(payload).bytes);
-  EXPECT_EQ(bytes.size(), ApproximateWireSize(payload));
   auto decoded = DecodePayload(KindOf(payload), bytes);
   ASSERT_TRUE(decoded.ok()) << decoded.status();
   EXPECT_EQ(KindOf(*decoded), KindOf(payload));
@@ -447,15 +458,16 @@ TEST(CodecTest, RejectsMalformedVarints) {
 
 TEST(CodecTest, RejectsOutOfRangeBeliefAliases) {
   // epoch 0, ack 0, value format 0 (raw doubles), one group whose zigzag
-  // alias delta lands exactly on the per-session bound.
+  // alias delta lands exactly on the per-session bound (the token keeps
+  // the "full id" and "single entry" bits below the delta).
   const uint64_t zigzag_bound = static_cast<uint64_t>(kMaxAliasesPerSession)
                                 << 1;
-  auto bytes = RawVarints({0, 0, 0, 1, zigzag_bound << 1, 0});
+  auto bytes = RawVarints({0, 0, 0, 1, zigzag_bound << 2, 0});
   const auto beyond = DecodePayload(MessageKind::kBelief, bytes);
   EXPECT_EQ(beyond.status().code(), StatusCode::kOutOfRange);
 
   // zigzag(-1) = 1: the first group would get alias -1.
-  bytes = RawVarints({0, 0, 0, 1, (1ull << 1), 0});
+  bytes = RawVarints({0, 0, 0, 1, (1ull << 2), 0});
   const auto negative = DecodePayload(MessageKind::kBelief, bytes);
   EXPECT_EQ(negative.status().code(), StatusCode::kOutOfRange);
 }
@@ -469,10 +481,275 @@ TEST(CodecTest, RejectsCountsLargerThanTheInput) {
   const auto decoded = DecodePayload(MessageKind::kProbe, bytes);
   EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
 
-  // A belief group promising more 17-byte entries than bytes remain.
+  // A belief group promising more entries than bytes remain (a raw entry
+  // is at least its one-byte position token).
   auto belief = RawVarints({0, 0, 0, 1, 0, 1u << 16});
   EXPECT_EQ(DecodePayload(MessageKind::kBelief, belief).status().code(),
             StatusCode::kInvalidArgument);
+}
+
+// --- Wire v5 value forms and single-entry groups ------------------------------
+
+uint64_t Bits(double value) { return std::bit_cast<uint64_t>(value); }
+
+void AppendDouble(std::vector<uint8_t>* bytes, double value) {
+  const uint64_t bits = Bits(value);
+  for (int i = 0; i < 8; ++i) {
+    bytes->push_back(static_cast<uint8_t>(bits >> (8 * i)));
+  }
+}
+
+StatusCode DecodeCode(MessageKind kind, const std::vector<uint8_t>& bytes) {
+  return DecodePayload(kind, bytes).status().code();
+}
+
+TEST(CodecTest, EveryValueFormRoundTripsBitwise) {
+  const double x = 0.3;
+  const double y = 0.6;
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan_payload = std::bit_cast<double>(0x7ff4dead0000beefull);
+  const std::vector<Belief> values = {
+      {1.0, 1.0},  {1.0, x},       {x, 1.0},          {x, y},
+      {1.0, 0.0},  {0.0, 1.0},     {0.0, 0.0},        {-0.0, 1.0},
+      {1.0, -0.0}, {tiny, 1.0},    {-tiny, 3 * tiny}, {inf, 1.0},
+      {-inf, inf}, {nan_payload, 1.0}, {1.0, -nan_payload},
+      {-1.0, 1.0},  // only +1.0 is implied
+  };
+  for (const Belief& value : values) {
+    SCOPED_TRACE(value.ToString());
+    const size_t shipped = (Bits(value.correct) == Bits(1.0) ? 0u : 8u) +
+                           (Bits(value.incorrect) == Bits(1.0) ? 0u : 8u);
+
+    BeliefMessage bundle;
+    bundle.AddGroup(0, FactorId{}, {BeliefEntry{5, value}});
+    ExpectRoundTrip(Payload{bundle});
+    EXPECT_EQ(PayloadWireBreakdown(Payload{bundle}).value_bytes, shipped);
+    const auto decoded =
+        DecodePayload(MessageKind::kBelief, Encoded(Payload{bundle}));
+    ASSERT_TRUE(decoded.ok()) << decoded.status();
+    const BeliefEntry& entry = std::get<BeliefMessage>(*decoded).entries.at(0);
+    EXPECT_EQ(entry.position, 5u);
+    EXPECT_EQ(Bits(entry.belief.correct), Bits(value.correct));
+    EXPECT_EQ(Bits(entry.belief.incorrect), Bits(value.incorrect));
+
+    // Query piggybacks carry the same form-tagged value; the position is
+    // a plain varint key, no longer a 16-bit field.
+    QueryMessage query;
+    query.piggyback = {BeliefUpdate{FactorId{7, 8}, 70000, value}};
+    ExpectRoundTrip(Payload{query});
+    EXPECT_EQ(PayloadWireBreakdown(Payload{query}).value_bytes, shipped);
+    const auto decoded_query =
+        DecodePayload(MessageKind::kQuery, Encoded(Payload{query}));
+    ASSERT_TRUE(decoded_query.ok()) << decoded_query.status();
+    const BeliefUpdate& update =
+        std::get<QueryMessage>(*decoded_query).piggyback.at(0);
+    EXPECT_EQ(update.position, 70000u);
+    EXPECT_EQ(Bits(update.belief.correct), Bits(value.correct));
+    EXPECT_EQ(Bits(update.belief.incorrect), Bits(value.incorrect));
+  }
+}
+
+TEST(CodecTest, RejectsNonCanonicalValueFormsAndEntryCounts) {
+  // A raw bundle with one single-entry group (alias token 1): the entry's
+  // token is form bits only (position 0), then the unimplied doubles.
+  const auto raw_entry = [](uint64_t form,
+                            std::initializer_list<double> doubles) {
+    std::vector<uint8_t> bytes = RawVarints({0, 0, 0, 1, 1, form});
+    for (double value : doubles) AppendDouble(&bytes, value);
+    return bytes;
+  };
+  const auto accepted = [](const std::vector<uint8_t>& bytes) {
+    return DecodePayload(MessageKind::kBelief, bytes).ok();
+  };
+  EXPECT_TRUE(accepted(raw_entry(0, {0.5, 0.25})));
+  EXPECT_TRUE(accepted(raw_entry(1, {0.25})));
+  EXPECT_TRUE(accepted(raw_entry(3, {})));
+  // A raw 1.0 whose form bit could have implied it.
+  EXPECT_EQ(DecodeCode(MessageKind::kBelief, raw_entry(0, {1.0, 0.25})),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(DecodeCode(MessageKind::kBelief, raw_entry(0, {0.25, 1.0})),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(DecodeCode(MessageKind::kBelief, raw_entry(1, {1.0})),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(DecodeCode(MessageKind::kBelief, raw_entry(2, {1.0})),
+            StatusCode::kInvalidArgument);
+
+  // An explicit entry count of 1 (single-entry bit clear), at both value
+  // formats; counts of 0 and 2 are canonical.
+  EXPECT_EQ(DecodeCode(MessageKind::kBelief, RawVarints({0, 0, 0, 1, 0, 1, 3})),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(
+      DecodeCode(MessageKind::kBelief, RawVarints({0, 0, 13, 1, 0, 1, 0, 2})),
+      StatusCode::kInvalidArgument);
+  EXPECT_TRUE(accepted(RawVarints({0, 0, 0, 1, 0, 0})));
+  EXPECT_TRUE(accepted(RawVarints({0, 0, 0, 1, 0, 2, 3, 11})));
+
+  // A query piggyback spelling out an implied 1.0: its last double.
+  QueryMessage query;
+  query.piggyback = {BeliefUpdate{FactorId{7, 8}, 3, Belief{0.5, 0.25}}};
+  std::vector<uint8_t> bytes = Encoded(Payload{query});
+  bytes.resize(bytes.size() - 8);
+  AppendDouble(&bytes, 1.0);
+  EXPECT_EQ(DecodeCode(MessageKind::kQuery, bytes),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(CodecTest, SingleBitFlipsAreRejectedOrReencodeToThemselves) {
+  // Multi- and single-entry groups, a binding declaration and every value
+  // form: no bit of it can flip into a payload that decodes to something
+  // re-encoding to other bytes.
+  BeliefMessage bundle;
+  bundle.epoch = 1;
+  bundle.ack = 9;
+  bundle.AddGroup(2, FactorId{},
+                  {BeliefEntry{0, Belief{1.0, 0.25}}, BeliefEntry{1, Belief{0.5, 1.0}},
+                   BeliefEntry{3, Belief{1.0, 1.0}}});
+  bundle.AddGroup(0, FactorId{0x11, 0x22}, {BeliefEntry{4, Belief{0.75, 0.125}}});
+  bundle.AddGroup(5, FactorId{}, {BeliefEntry{1, Belief{1.0, 0.0}}});
+  const std::vector<uint8_t> bytes = Encoded(Payload{bundle});
+  size_t rejected = 0;
+  size_t accepted = 0;
+  for (size_t bit = 0; bit < 8 * bytes.size(); ++bit) {
+    std::vector<uint8_t> mutant = bytes;
+    mutant[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+    const auto decoded = DecodePayload(MessageKind::kBelief, mutant);
+    if (!decoded.ok()) {
+      ++rejected;
+      continue;
+    }
+    ++accepted;
+    EXPECT_EQ(Encoded(*decoded), mutant) << "bit " << bit;
+  }
+  EXPECT_GT(rejected, 0u);
+  EXPECT_GT(accepted, 0u);
+}
+
+/// Forwards to a `SimTransport` and keeps a copy of every belief bundle
+/// sent while capture is on.
+struct BundleLog {
+  std::mutex mutex;
+  bool capturing = false;
+  std::vector<BeliefMessage> bundles;
+};
+
+class CapturingTransport final : public Transport {
+ public:
+  CapturingTransport(size_t peers, const NetworkOptions& options,
+                     std::shared_ptr<BundleLog> log)
+      : inner_(peers, options), log_(std::move(log)) {}
+
+  std::string_view name() const override { return "capture"; }
+  size_t peer_count() const override { return inner_.peer_count(); }
+  uint64_t now() const override { return inner_.now(); }
+  void AdvanceTick() override { inner_.AdvanceTick(); }
+  void Send(PeerId from, PeerId to, std::optional<EdgeId> via,
+            Payload payload) override {
+    if (const auto* bundle = std::get_if<BeliefMessage>(&payload)) {
+      std::lock_guard<std::mutex> lock(log_->mutex);
+      if (log_->capturing) log_->bundles.push_back(*bundle);
+    }
+    inner_.Send(from, to, via, std::move(payload));
+  }
+  std::vector<Envelope> Drain(PeerId peer) override { return inner_.Drain(peer); }
+  bool HasPendingMessages() const override { return inner_.HasPendingMessages(); }
+  const TransportStats& stats() const override { return inner_.stats(); }
+  void ResetStats() override { inner_.ResetStats(); }
+
+ private:
+  SimTransport inner_;
+  std::shared_ptr<BundleLog> log_;
+};
+
+/// Every bundle the engine sends in its first inference round on a
+/// 300-peer network with 2- to 4-cycles (damped, so rescaled, damped and
+/// unit values all occur), at `value_error_budget` (0 = exact wire).
+std::vector<BeliefMessage> OneRoundOfBundles(double value_error_budget) {
+  Rng rng(2026);
+  Digraph graph = topology::BarabasiAlbert(300, 2, &rng);
+  topology::Symmetrize(&graph);
+  MappingNetworkOptions network;
+  network.attributes_per_schema = 6;
+  const SyntheticPdms synthetic = BuildSyntheticPdms(graph, network, &rng);
+  EngineOptions options;
+  options.probe_ttl = 4;
+  options.closure_limits.min_cycle_length = 2;
+  options.closure_limits.max_cycle_length = 4;
+  options.closure_limits.max_path_length = 1;
+  options.damping = 0.5;
+  options.value_error_budget = value_error_budget;
+  auto log = std::make_shared<BundleLog>();
+  Result<Pdms> built =
+      PdmsBuilder::FromSynthetic(synthetic)
+          .WithOptions(options)
+          .WithTransport([log](size_t peers, const EngineOptions& engine) {
+            return std::make_unique<CapturingTransport>(peers, engine.network,
+                                                        log);
+          })
+          .Build();
+  EXPECT_TRUE(built.ok()) << built.status();
+  if (!built.ok()) return {};
+  Pdms pdms = std::move(built).value();
+  pdms.session().Discover();
+  // Round 1 declares the alias bindings; round 3 runs on acked bare
+  // aliases with damped values.
+  for (int round = 1; round <= 3; ++round) {
+    log->capturing = round != 2;
+    pdms.session().Step();
+  }
+  return std::move(log->bundles);
+}
+
+TEST(CodecTest, EveryBundleOfA300PeerRoundRoundTripsBitwise) {
+  // Not an assert: holds in Release builds, where the transports' byte
+  // accounts are what the benchmarks read.
+  for (double budget : {0.0, 1e-3}) {
+    SCOPED_TRACE(budget);
+    const std::vector<BeliefMessage> bundles = OneRoundOfBundles(budget);
+    ASSERT_GT(bundles.size(), 100u);
+    size_t updates = 0;
+    size_t key_bytes = 0;
+    size_t value_bytes = 0;
+    for (const BeliefMessage& sent : bundles) {
+      const Payload payload{sent};
+      const std::vector<uint8_t> bytes = Encoded(payload);
+      const WireBreakdown wire = PayloadWireBreakdown(payload);
+      ASSERT_EQ(bytes.size(), wire.bytes);
+      updates += sent.update_count();
+      key_bytes += wire.key_bytes;
+      value_bytes += wire.value_bytes;
+      const auto decoded = DecodePayload(MessageKind::kBelief, bytes);
+      ASSERT_TRUE(decoded.ok()) << decoded.status();
+      ASSERT_EQ(Encoded(*decoded), bytes);
+      const BeliefMessage& received = std::get<BeliefMessage>(*decoded);
+      EXPECT_EQ(received.epoch, sent.epoch);
+      EXPECT_EQ(received.ack, sent.ack);
+      ASSERT_EQ(received.value_bits, sent.value_bits);
+      EXPECT_EQ(sent.value_bits != 0, budget > 0.0);
+      ASSERT_EQ(received.groups.size(), sent.groups.size());
+      for (size_t g = 0; g < sent.groups.size(); ++g) {
+        EXPECT_EQ(received.groups[g].alias, sent.groups[g].alias);
+        EXPECT_EQ(received.groups[g].id, sent.groups[g].id);
+        EXPECT_EQ(received.groups[g].entry_count, sent.groups[g].entry_count);
+      }
+      ASSERT_EQ(received.entries.size(), sent.entries.size());
+      for (size_t i = 0; i < sent.entries.size(); ++i) {
+        const BeliefEntry& a = received.entries[i];
+        const BeliefEntry& b = sent.entries[i];
+        EXPECT_EQ(a.position, b.position);
+        EXPECT_EQ(Bits(a.belief.correct), Bits(b.belief.correct));
+        EXPECT_EQ(Bits(a.belief.incorrect), Bits(b.belief.incorrect));
+        if (sent.value_bits != 0) {
+          EXPECT_EQ(a.quant, b.quant);
+        }
+      }
+    }
+    EXPECT_GT(key_bytes, 0u);  // round 1's binding declarations
+    if (budget == 0.0) {
+      // Rescaled messages ship one double, not two.
+      EXPECT_LT(value_bytes, 16 * updates);
+    }
+  }
 }
 
 BeliefMessage MakeQuantized(uint32_t bits) {
@@ -511,11 +788,13 @@ TEST(CodecTest, QuantizedBundlesRoundTripByteIdenticallyAtEveryTier) {
     ExpectStrictFraming(Payload{message});
   }
   // A saturated-workload singleton (log-odds 0) costs 2 bytes of entry
-  // against 17 raw — the per-update win the 10k benchmark banks on.
+  // against up to 17 raw — the per-update win the 10k benchmark banks on.
+  // Its single-entry group carries no count, and the position token no
+  // form bits.
   BeliefMessage steady;
   steady.AddGroup(0, FactorId{}, {BeliefEntry{0, Belief{1.0, 1.0}}});
   steady.QuantizeValues(13);
-  EXPECT_EQ(ApproximateWireSize(Payload{steady}), 4u + 2u + 1u + 1u);
+  EXPECT_EQ(EncodedPayloadSize(Payload{steady}), 4u + 1u + 1u + 1u);
   EXPECT_EQ(PayloadWireBreakdown(Payload{steady}).value_bytes, 1u);
 }
 

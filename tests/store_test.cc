@@ -59,7 +59,7 @@ Pdms MakeIntroPdms(EngineOptions options = {}, uint64_t seed = 17) {
 }
 
 /// A snapshot with every field populated: a converged engine image plus a
-/// synthetic in-flight inbox covering two payload kinds.
+/// synthetic in-flight inbox covering three payload kinds.
 NodeSnapshot MakeSnapshot(Pdms& pdms) {
   pdms.session().Discover();
   pdms.session().Converge(10);
@@ -104,6 +104,20 @@ NodeSnapshot MakeSnapshot(Pdms& pdms) {
                             {{0, 0}, {1, 0}, {2, 0}, {3, 0}}}};
   feedback.envelope.payload = announcement;
   snapshot.inbox.push_back(feedback);
+
+  CapturedFrame belief;
+  belief.seq = 14;
+  belief.envelope.from = 2;
+  belief.envelope.to = 3;
+  belief.envelope.via = EdgeId{3};
+  belief.envelope.deliver_at = 42;
+  BeliefMessage bundle;
+  bundle.AddGroup(0, FactorId{0x5, 0x6},
+                  {BeliefEntry{0, Belief{1.0, 0.25}},
+                   BeliefEntry{2, Belief{0.5, 0.75}}});
+  bundle.AddGroup(1, FactorId{}, {BeliefEntry{1, Belief{0.125, 1.0}}});
+  belief.envelope.payload = bundle;
+  snapshot.inbox.push_back(belief);
   return snapshot;
 }
 
@@ -188,6 +202,21 @@ TEST(SnapshotCodecTest, RejectsBadMagicAndVersion) {
   std::vector<uint8_t> bad_version = bytes;
   bad_version[8] ^= 0xff;
   EXPECT_FALSE(DecodeSnapshot(bad_version).ok());
+}
+
+TEST(SnapshotCodecTest, RefusesVersion3FilesWithPreV5Bundles) {
+  // A v3 file stores in-flight bundles in wire format v4, whose tokens the
+  // v5 decoder could misread without any error: the version check is what
+  // keeps them out.
+  Pdms pdms = MakeIntroPdms();
+  std::vector<uint8_t> bytes = EncodeSnapshot(MakeSnapshot(pdms));
+  ASSERT_EQ(bytes[8], kSnapshotFormatVersion);
+  bytes[8] = 3;  // little-endian fixed32 after the 8-byte magic
+  Result<NodeSnapshot> decoded = DecodeSnapshot(bytes);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(decoded.status().message().find("version 3"), std::string::npos)
+      << decoded.status();
 }
 
 TEST(SnapshotCodecTest, RejectsPayloadCorruption) {
