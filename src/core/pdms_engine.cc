@@ -390,6 +390,11 @@ Status PdmsEngine::RestoreImage(EngineImage&& image) {
         StrFormat("image holds %zu peers, engine has %zu", image.peers.size(),
                   peers_.size()));
   }
+  // Check every peer before touching anything, so a rejected image leaves
+  // the engine exactly as it was.
+  for (size_t p = 0; p < peers_.size(); ++p) {
+    PDMS_RETURN_IF_ERROR(peers_[p]->ValidateImage(image.peers[p]));
+  }
   PDMS_RETURN_IF_ERROR(graph_.RestoreEdges(image.edge_alive));
   for (size_t p = 0; p < peers_.size(); ++p) {
     peers_[p]->RestoreImage(std::move(image.peers[p]));

@@ -187,7 +187,9 @@ class PdmsEngine {
   /// Restores a previously captured image. Peer count must match (the
   /// image is a rollback target for the same deployment, not a migration
   /// vehicle); the topology may have gained edges since the capture — they
-  /// roll back to tombstones.
+  /// roll back to tombstones. Every peer image is validated
+  /// (`Peer::ValidateImage`) before anything changes: a rejected image
+  /// leaves the engine untouched.
   Status RestoreImage(const EngineImage& image);
   Status RestoreImage(EngineImage&& image);
 

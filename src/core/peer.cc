@@ -106,9 +106,9 @@ void Peer::RemoveMapping(EdgeId edge) {
       [](const auto& entry, EdgeId e) { return entry.first < e; });
   if (it != mappings_.end() && it->first == edge) mappings_.erase(it);
 
-  // Drop every replica referencing the edge, then rebuild the indexes,
-  // recompact the SoA pools, and rebuild the per-variable slot lists and
-  // belief routing tables. Churn is rare; rounds are hot.
+  // Drop every replica referencing the edge, compacting the member and
+  // message pools in place, then re-derive every index from the kept
+  // replicas. Churn is rare; rounds are hot.
   //
   // The guard pool shares the message pools' slots; align it before
   // compaction (it grows lazily, so it may trail the message pools).
@@ -129,57 +129,38 @@ void Peer::RemoveMapping(EdgeId edge) {
       if (guard != LinkGuard{}) carried.emplace_back(peer, guard);
     }
   }
-  const std::vector<Belief> old_var_to_factor = std::move(var_to_factor_pool_);
-  const std::vector<Belief> old_factor_to_var = std::move(factor_to_var_pool_);
-  const std::vector<MappingVarKey> old_members = std::move(member_pool_);
-  const std::vector<PeerId> old_owners = std::move(member_owner_pool_);
-  const std::vector<uint32_t> old_owned = std::move(owned_pos_pool_);
-  const std::vector<ReplicaHot> old_hot = std::move(replica_hot_);
-  const std::vector<GuardSlot> old_guard = std::move(guard_slot_pool_);
-  var_to_factor_pool_.clear();
-  factor_to_var_pool_.clear();
-  member_pool_.clear();
-  member_owner_pool_.clear();
-  owned_pos_pool_.clear();
-  replica_hot_.clear();
-  guard_slot_pool_.clear();
-  std::vector<Replica> kept;
-  kept.reserve(replicas_.size());
-  for (uint32_t r = 0; r < replicas_.size(); ++r) {
-    const ReplicaHot& hot = old_hot[r];
-    const auto member_begin = old_members.begin() + hot.msg_base;
-    const auto member_end = member_begin + hot.member_count;
+  size_t kept = 0;
+  size_t kept_base = 0;
+  size_t base = 0;
+  for (size_t r = 0; r < replicas_.size(); ++r) {
+    const size_t n = replicas_[r].member_count;
+    const auto members = member_pool_.begin() + base;
     const bool touches = std::any_of(
-        member_begin, member_end,
+        members, members + n,
         [edge](const MappingVarKey& var) { return var.edge == edge; });
-    if (touches) continue;
-    ReplicaHot compacted = hot;
-    compacted.msg_base = static_cast<uint32_t>(var_to_factor_pool_.size());
-    compacted.owned_base = static_cast<uint32_t>(owned_pos_pool_.size());
-    var_to_factor_pool_.insert(
-        var_to_factor_pool_.end(), old_var_to_factor.begin() + hot.msg_base,
-        old_var_to_factor.begin() + hot.msg_base + hot.member_count);
-    factor_to_var_pool_.insert(
-        factor_to_var_pool_.end(), old_factor_to_var.begin() + hot.msg_base,
-        old_factor_to_var.begin() + hot.msg_base + hot.member_count);
-    member_pool_.insert(member_pool_.end(), member_begin, member_end);
-    member_owner_pool_.insert(
-        member_owner_pool_.end(), old_owners.begin() + hot.msg_base,
-        old_owners.begin() + hot.msg_base + hot.member_count);
-    owned_pos_pool_.insert(
-        owned_pos_pool_.end(), old_owned.begin() + hot.owned_base,
-        old_owned.begin() + hot.owned_base + hot.owned_count);
-    if (!old_guard.empty()) {
-      guard_slot_pool_.insert(
-          guard_slot_pool_.end(), old_guard.begin() + hot.msg_base,
-          old_guard.begin() + hot.msg_base + hot.member_count);
+    if (!touches) {
+      // Kept slices only ever move toward the front.
+      const auto shift = [&](auto& pool) {
+        std::move(pool.begin() + base, pool.begin() + base + n,
+                  pool.begin() + kept_base);
+      };
+      if (kept_base != base) {
+        shift(var_to_factor_pool_);
+        shift(factor_to_var_pool_);
+        shift(member_pool_);
+        if (!guard_slot_pool_.empty()) shift(guard_slot_pool_);
+      }
+      if (kept != r) replicas_[kept] = std::move(replicas_[r]);
+      ++kept;
+      kept_base += n;
     }
-    replica_hot_.push_back(compacted);
-    kept.push_back(std::move(replicas_[r]));
+    base += n;
   }
-  replicas_ = std::move(kept);
-  replica_index_.clear();
-  belief_routes_.clear();
+  replicas_.resize(kept);
+  var_to_factor_pool_.resize(kept_base);
+  factor_to_var_pool_.resize(kept_base);
+  member_pool_.resize(kept_base);
+  if (!guard_slot_pool_.empty()) guard_slot_pool_.resize(kept_base);
   // The replica set (and with it every route) changed, so the link-local
   // alias numbering is void: clear both session directions and bump the
   // epoch. Every peer of the network processes the same removal, so the
@@ -189,17 +170,7 @@ void Peer::RemoveMapping(EdgeId edge) {
   alias_links_.clear();
   alias_link_index_.clear();
   ++alias_epoch_;
-  for (VarState& var : vars_) var.slots.clear();
-  for (uint32_t r = 0; r < replicas_.size(); ++r) {
-    replica_index_.emplace(replicas_[r].id, r);
-    const ReplicaHot& hot = replica_hot_[r];
-    for (uint32_t i = 0; i < hot.owned_count; ++i) {
-      const uint32_t pos = owned_pos_pool_[hot.owned_base + i];
-      vars_[InternVar(member_pool_[hot.msg_base + pos])].slots.emplace_back(
-          r, pos);
-    }
-    AddReplicaToRoutes(r);
-  }
+  RebuildIndexes();
   for (const auto& [peer, guard] : carried) {
     alias_links_[InternAliasLink(peer)].guard = guard;
   }
@@ -210,13 +181,6 @@ const SchemaMapping* Peer::mapping(EdgeId edge) const {
       mappings_.begin(), mappings_.end(), edge,
       [](const auto& entry, EdgeId e) { return entry.first < e; });
   return it != mappings_.end() && it->first == edge ? &it->second : nullptr;
-}
-
-std::vector<EdgeId> Peer::OutgoingEdges() const {
-  std::vector<EdgeId> edges;
-  edges.reserve(mappings_.size());
-  for (const auto& [edge, mapping] : mappings_) edges.push_back(edge);
-  return edges;
 }
 
 // --- Priors & posteriors ------------------------------------------------------
@@ -231,13 +195,9 @@ uint32_t Peer::InternVar(const MappingVarKey& var) {
     // iteration order PiggybackUpdatesFor depends on for determinism.
     edge_vars_[var.edge].push_back(it->second);
     vars_.push_back(std::move(state));
+    var_slots_.emplace_back();
   }
   return it->second;
-}
-
-const Peer::VarState* Peer::FindVar(const MappingVarKey& var) const {
-  const auto it = var_index_.find(var.Packed());
-  return it == var_index_.end() ? nullptr : &vars_[it->second];
 }
 
 void Peer::SetPrior(const MappingVarKey& var, double prior) {
@@ -250,42 +210,37 @@ void Peer::SetPrior(const MappingVarKey& var, double prior) {
 }
 
 double Peer::Prior(const MappingVarKey& var) const {
-  const VarState* state = FindVar(var);
-  return state != nullptr && state->has_explicit_prior
-             ? state->prior
+  const auto it = var_index_.find(var.Packed());
+  return it != var_index_.end() && vars_[it->second].has_explicit_prior
+             ? vars_[it->second].prior
              : options_->default_prior;
 }
 
 bool Peer::HasEvidence(const MappingVarKey& var) const {
-  const VarState* state = FindVar(var);
-  return state != nullptr && !state->slots.empty();
+  const auto it = var_index_.find(var.Packed());
+  return it != var_index_.end() && !var_slots_[it->second].empty();
 }
 
-Belief Peer::PosteriorBelief(const MappingVarKey& var) const {
+double Peer::Posterior(const MappingVarKey& var) const {
   // ⊥ rule: a mapping that does not represent the attribute has
   // correctness 0 for it (Section 3.2.1).
   if (var.attribute != MappingVarKey::kWholeMapping) {
     const SchemaMapping* m = mapping(var.edge);
-    if (m == nullptr || !m->Apply(var.attribute).has_value()) {
-      return Belief{0.0, 1.0};
-    }
+    if (m == nullptr || !m->Apply(var.attribute).has_value()) return 0.0;
   }
   Belief posterior = Belief::FromProbability(Prior(var));
-  if (const VarState* state = FindVar(var)) {
-    for (const auto& [replica, position] : state->slots) {
+  if (const auto it = var_index_.find(var.Packed()); it != var_index_.end()) {
+    for (const auto& [replica, position] : var_slots_[it->second]) {
       posterior *= factor_to_var_pool_[replica_hot_[replica].msg_base + position];
     }
   }
-  return posterior.Normalized();
-}
-
-double Peer::Posterior(const MappingVarKey& var) const {
-  return PosteriorBelief(var).correct;
+  return posterior.Normalized().correct;
 }
 
 void Peer::UpdatePriorsFromPosteriors() {
-  for (VarState& state : vars_) {
-    if (state.slots.empty()) continue;
+  for (size_t v = 0; v < vars_.size(); ++v) {
+    if (var_slots_[v].empty()) continue;
+    VarState& state = vars_[v];
     if (!state.has_evidence_acc) {
       state.has_evidence_acc = true;
       state.evidence_count = 1;
@@ -414,46 +369,22 @@ Status Peer::IngestFactor(const FactorId& id, const Closure& closure,
   replica.root_attribute = feedback.root_attribute;
   replica.sign = feedback.sign;
   replica.delta = delta;
-  const size_t n = feedback.members.size();
-  ReplicaHot hot;
-  hot.msg_base = static_cast<uint32_t>(var_to_factor_pool_.size());
-  hot.member_count = static_cast<uint32_t>(n);
-  hot.owned_base = static_cast<uint32_t>(owned_pos_pool_.size());
-  hot.delta = delta;
-  hot.positive = feedback.sign == FeedbackSign::kPositive;
-  var_to_factor_pool_.resize(hot.msg_base + n, Belief::Unit());
-  factor_to_var_pool_.resize(hot.msg_base + n, Belief::Unit());
-  member_pool_.insert(member_pool_.end(), feedback.members.begin(),
-                      feedback.members.end());
-  for (size_t i = 0; i < n; ++i) {
-    const PeerId owner = graph_->edge(feedback.members[i].edge).src;
-    member_owner_pool_.push_back(owner);
-    if (owner == id_) {
-      // Own variables start from the locally-known prior instead of the
-      // unit message; remote ones stay unit until heard from.
-      var_to_factor_pool_[hot.msg_base + i] =
-          Belief::FromProbability(Prior(feedback.members[i]));
-      owned_pos_pool_.push_back(static_cast<uint32_t>(i));
-      ++hot.owned_count;
-    } else {
-      replica.other_owners.push_back(owner);
-    }
-  }
-  std::sort(replica.other_owners.begin(), replica.other_owners.end());
-  replica.other_owners.erase(
-      std::unique(replica.other_owners.begin(), replica.other_owners.end()),
-      replica.other_owners.end());
-
+  replica.member_count = static_cast<uint32_t>(feedback.members.size());
   const auto index = static_cast<uint32_t>(replicas_.size());
   replicas_.push_back(std::move(replica));
-  replica_hot_.push_back(hot);
-  replica_index_.emplace(id, index);
+  member_pool_.insert(member_pool_.end(), feedback.members.begin(),
+                      feedback.members.end());
+  var_to_factor_pool_.resize(member_pool_.size(), Belief::Unit());
+  factor_to_var_pool_.resize(member_pool_.size(), Belief::Unit());
+  IndexReplica(index);
+  // Own variables start from the locally-known prior instead of the unit
+  // message; remote ones stay unit until heard from.
+  const ReplicaHot& hot = replica_hot_[index];
   for (uint32_t i = 0; i < hot.owned_count; ++i) {
-    const uint32_t pos = owned_pos_pool_[hot.owned_base + i];
-    vars_[InternVar(member_pool_[hot.msg_base + pos])].slots.emplace_back(
-        index, pos);
+    const uint32_t slot = hot.msg_base + owned_pos_pool_[hot.owned_base + i];
+    var_to_factor_pool_[slot] =
+        Belief::FromProbability(Prior(member_pool_[slot]));
   }
-  AddReplicaToRoutes(index);
   return Status::Ok();
 }
 
@@ -468,15 +399,43 @@ uint32_t Peer::InternAliasLink(PeerId peer) {
   return index;
 }
 
-void Peer::AddReplicaToRoutes(uint32_t r) {
+void Peer::IndexReplica(uint32_t r) {
   const Replica& replica = replicas_[r];
-  if (replica_hot_[r].owned_count == 0) return;
-  for (PeerId peer : replica.other_owners) {
+  ReplicaHot hot;
+  if (!replica_hot_.empty()) {
+    const ReplicaHot& previous = replica_hot_.back();
+    hot.msg_base = previous.msg_base + previous.member_count;
+  }
+  hot.member_count = replica.member_count;
+  hot.owned_base = static_cast<uint32_t>(owned_pos_pool_.size());
+  hot.delta = replica.delta;
+  hot.positive = replica.sign == FeedbackSign::kPositive;
+  std::vector<PeerId> recipients;  // owners of foreign members
+  for (uint32_t i = 0; i < hot.member_count; ++i) {
+    const MappingVarKey& member = member_pool_[hot.msg_base + i];
+    const PeerId owner = graph_->edge(member.edge).src;
+    member_owner_pool_.push_back(owner);
+    if (owner != id_) {
+      recipients.push_back(owner);
+      continue;
+    }
+    owned_pos_pool_.push_back(i);
+    ++hot.owned_count;
+    var_slots_[InternVar(member)].emplace_back(r, i);
+  }
+  replica_hot_.push_back(hot);
+  replica_index_.emplace(replica.id, r);
+  if (hot.owned_count == 0) return;  // nothing of ours to send
+  std::sort(recipients.begin(), recipients.end());
+  recipients.erase(std::unique(recipients.begin(), recipients.end()),
+                   recipients.end());
+  for (PeerId peer : recipients) {
     // First mention of this factor over the (this -> peer) link: negotiate
-    // the session alias the route will emit under. Replicas register in
-    // ascending index order, so aliases ascend with replica index and
-    // each route's group list stays in canonical emission order — the
-    // order the determinism guarantee rides on.
+    // the session alias the route will emit under (a restored session
+    // already holds it). Replicas register in ascending index order, so
+    // aliases ascend with replica index and each route's group list stays
+    // in canonical emission order — the order the determinism guarantee
+    // rides on.
     const uint32_t link = InternAliasLink(peer);
     const uint32_t alias = alias_links_[link].session.tx.Assign(replica.id);
     auto it = std::lower_bound(
@@ -485,9 +444,19 @@ void Peer::AddReplicaToRoutes(uint32_t r) {
     if (it == belief_routes_.end() || it->to != peer) {
       it = belief_routes_.insert(it, BeliefRoute{peer, link, 0, {}});
     }
-    it->entry_total += replica_hot_[r].owned_count;
+    it->entry_total += hot.owned_count;
     it->groups.emplace_back(r, alias);
   }
+}
+
+void Peer::RebuildIndexes() {
+  replica_hot_.clear();
+  member_owner_pool_.clear();
+  owned_pos_pool_.clear();
+  replica_index_.clear();
+  belief_routes_.clear();
+  var_slots_.assign(vars_.size(), {});
+  for (uint32_t r = 0; r < replicas_.size(); ++r) IndexReplica(r);
 }
 
 void Peer::AbsorbResolved(uint32_t r, uint32_t position, const Belief& belief) {
@@ -872,26 +841,28 @@ double Peer::ComputeRound() {
   // posterior, so the convergence residual comes out of the same pass
   // instead of a separate Posterior() sweep.
   double max_change = 0.0;
-  for (VarState& var : vars_) {
-    const size_t k = var.slots.size();
+  for (size_t v = 0; v < vars_.size(); ++v) {
+    const std::vector<std::pair<uint32_t, uint32_t>>& slots = var_slots_[v];
+    const size_t k = slots.size();
     if (k == 0) continue;
+    VarState& var = vars_[v];
     const Belief prior = Belief::FromProbability(
         var.has_explicit_prior ? var.prior : options_->default_prior);
     ExclusivePrefixSuffixProducts(
         k,
         [&](size_t j) -> const Belief& {
-          return factor_to_var_pool_[replica_hot_[var.slots[j].first].msg_base +
-                                     var.slots[j].second];
+          return factor_to_var_pool_[replica_hot_[slots[j].first].msg_base +
+                                     slots[j].second];
         },
         &prefix_scratch_, &suffix_scratch_);
     for (size_t j = 0; j < k; ++j) {
       const Belief message =
           (prior * prefix_scratch_[j] * suffix_scratch_[j + 1]).Rescaled();
-      var_to_factor_pool_[replica_hot_[var.slots[j].first].msg_base +
-                          var.slots[j].second] = message;
+      var_to_factor_pool_[replica_hot_[slots[j].first].msg_base +
+                          slots[j].second] = message;
     }
     // Convergence metric: posterior change over owned variables, with the
-    // ⊥ rule applied exactly as in PosteriorBelief.
+    // ⊥ rule applied exactly as in Posterior.
     double now = (prior * prefix_scratch_[k]).Normalized().correct;
     if (var.key.attribute != MappingVarKey::kWholeMapping) {
       const SchemaMapping* m = mapping(var.key.edge);
@@ -1009,7 +980,7 @@ std::vector<BeliefUpdate> Peer::PiggybackUpdatesFor(EdgeId edge) const {
   const auto it = edge_vars_.find(edge);
   if (it == edge_vars_.end()) return updates;
   for (uint32_t v : it->second) {
-    for (const auto& [replica, position] : vars_[v].slots) {
+    for (const auto& [replica, position] : var_slots_[v]) {
       updates.push_back(BeliefUpdate{
           replicas_[replica].id, position,
           var_to_factor_pool_[replica_hot_[replica].msg_base + position]});
@@ -1078,13 +1049,9 @@ Peer::Image Peer::CaptureImage() const {
   Image image;
   image.mappings = mappings_;
   image.replicas = replicas_;
-  image.replica_hot = replica_hot_;
   image.var_to_factor_pool = var_to_factor_pool_;
   image.factor_to_var_pool = factor_to_var_pool_;
   image.member_pool = member_pool_;
-  image.member_owner_pool = member_owner_pool_;
-  image.owned_pos_pool = owned_pos_pool_;
-  image.belief_routes = belief_routes_;
   image.links.resize(alias_links_.size());
   for (const auto& [peer, index] : alias_link_index_) {
     image.links[index].peer = peer;
@@ -1101,7 +1068,6 @@ Peer::Image Peer::CaptureImage() const {
     out.tx_acked_prefix = link.session.tx.acked_prefix;
     out.rx_id_of = link.session.rx.id_of;
     out.rx_known_prefix = link.session.rx.known_prefix;
-    out.replica_of_alias = link.replica_of_alias;
     out.value_rank = link.value_rank;
     out.guard = link.guard;
   }
@@ -1122,18 +1088,68 @@ Peer::Image Peer::CaptureImage() const {
   return image;
 }
 
-void Peer::RestoreImage(const Image& image) { RestoreImage(Image(image)); }
+Status Peer::ValidateImage(const Image& image) const {
+  const auto invalid = [this](const char* what) {
+    return Status::InvalidArgument(
+        StrFormat("image of peer %u rejected: %s", id_, what));
+  };
+  const auto in_graph = [this](EdgeId e) {
+    return e < graph_->edge_capacity();
+  };
+  const auto all_in_graph = [&](const std::vector<EdgeId>& edges) {
+    return std::all_of(edges.begin(), edges.end(), in_graph);
+  };
+  size_t members = 0;
+  for (const Replica& replica : image.replicas) {
+    members += replica.member_count;
+    if (!all_in_graph(replica.closure.edges)) return invalid("closure edge");
+  }
+  if (members != image.member_pool.size() ||
+      members != image.var_to_factor_pool.size() ||
+      members != image.factor_to_var_pool.size()) {
+    return invalid("member counts do not add up to the pools");
+  }
+  if (image.guard_slot_pool.size() > members) {
+    return invalid("guard slot pool longer than the message pools");
+  }
+  for (const MappingVarKey& member : image.member_pool) {
+    if (!in_graph(member.edge)) return invalid("member edge");
+  }
+  for (const auto& [edge, mapping] : image.mappings) {
+    if (!in_graph(edge)) return invalid("mapping edge");
+  }
+  for (const VarState& var : image.vars) {
+    if (!in_graph(var.key.edge)) return invalid("variable edge");
+  }
+  for (const auto& [origin, probes] : image.probe_cache) {
+    for (const ProbeMessage& probe : probes) {
+      if (!all_in_graph(probe.route)) return invalid("cached probe edge");
+    }
+  }
+  std::vector<PeerId> peers;
+  for (const LinkImage& link : image.links) {
+    if (link.peer >= graph_->node_count()) return invalid("link peer");
+    if (link.tx_acked_prefix > link.tx_id_by_alias.size() ||
+        link.rx_known_prefix > link.rx_id_of.size() ||
+        link.rx_id_of.size() > kMaxAliasesPerSession) {
+      return invalid("alias prefix outside its session table");
+    }
+    peers.push_back(link.peer);
+  }
+  std::sort(peers.begin(), peers.end());
+  if (std::adjacent_find(peers.begin(), peers.end()) != peers.end()) {
+    return invalid("two links to one peer");
+  }
+  return Status::Ok();
+}
 
-void Peer::RestoreImage(Image&& image) {
+void Peer::RestoreImage(Image image) {
+  assert(ValidateImage(image).ok());
   mappings_ = std::move(image.mappings);
   replicas_ = std::move(image.replicas);
-  replica_hot_ = std::move(image.replica_hot);
   var_to_factor_pool_ = std::move(image.var_to_factor_pool);
   factor_to_var_pool_ = std::move(image.factor_to_var_pool);
   member_pool_ = std::move(image.member_pool);
-  member_owner_pool_ = std::move(image.member_owner_pool);
-  owned_pos_pool_ = std::move(image.owned_pos_pool);
-  belief_routes_ = std::move(image.belief_routes);
   alias_links_.clear();
   alias_links_.resize(image.links.size());
   alias_link_index_.clear();
@@ -1150,7 +1166,6 @@ void Peer::RestoreImage(Image&& image) {
     }
     link.session.rx.id_of = std::move(in.rx_id_of);
     link.session.rx.known_prefix = in.rx_known_prefix;
-    link.replica_of_alias = std::move(in.replica_of_alias);
     link.value_rank = static_cast<uint8_t>(in.value_rank);
     link.guard = in.guard;
     alias_link_index_.emplace_back(in.peer, static_cast<uint32_t>(i));
@@ -1168,10 +1183,9 @@ void Peer::RestoreImage(Image&& image) {
     var_index_.emplace(vars_[v].key.Packed(), v);
     edge_vars_[vars_[v].key.edge].push_back(v);
   }
-  replica_index_.clear();
-  for (uint32_t r = 0; r < replicas_.size(); ++r) {
-    replica_index_.emplace(replicas_[r].id, r);
-  }
+  // Every link the routes name is already restored, so the rebuild finds
+  // each route's session and alias instead of negotiating new ones.
+  RebuildIndexes();
   announced_.clear();
   announced_.insert(image.announced.begin(), image.announced.end());
   seen_queries_.clear();

@@ -70,19 +70,21 @@ uint32_t ValueRankTarget(double error_budget, double residual);
 /// Hot-path layout: replicas and mapping variables are interned into dense
 /// arrays (`replicas_`, `vars_`) indexed by 128-bit `FactorId` fingerprints
 /// (identity-hashed — no string keys anywhere past ingest), and each
-/// variable keeps its (replica, position) slots. *All* per-replica hot
-/// state lives in contiguous structure-of-arrays pools addressed by
-/// base/length offsets from the flat `ReplicaHot` array: the message pools
-/// (`var_to_factor_pool_`, `factor_to_var_pool_`, slot = `msg_base +
-/// position`), the member scope and its owners (`member_pool_`,
-/// `member_owner_pool_`, same slots), and the owned positions
-/// (`owned_pos_pool_`). `ComputeRound` and `AbsorbBeliefUpdate` therefore
-/// touch no per-replica heap vectors at all — the cold `Replica` structs
-/// exist only for ingest, introspection and rebuilds — and perform no heap
-/// allocation after the first round with a given evidence set. Outgoing
-/// belief bundles are emitted from per-recipient routing tables
-/// precomputed at ingest, with factor identity compressed to link-local
-/// session aliases (`AliasSessionTx`/`AliasSessionRx` in net/message.h).
+/// variable's (replica, position) slots sit in `var_slots_`. *All*
+/// per-replica hot state lives in contiguous structure-of-arrays pools
+/// addressed by base/length offsets from the flat `ReplicaHot` array: the
+/// message pools (`var_to_factor_pool_`, `factor_to_var_pool_`, slot =
+/// `msg_base + position`), the member scope and its owners
+/// (`member_pool_`, `member_owner_pool_`, same slots), and the owned
+/// positions (`owned_pos_pool_`). `ComputeRound` and `AbsorbBeliefUpdate`
+/// therefore touch no per-replica heap vectors at all — the cold
+/// `Replica` structs exist only for ingest, introspection and rebuilds —
+/// and perform no heap allocation after the first round with a given
+/// evidence set. Outgoing belief bundles are emitted from per-recipient
+/// routing tables precomputed at ingest, with factor identity compressed
+/// to link-local session aliases (`AliasSessionTx`/`AliasSessionRx` in
+/// net/message.h). Offsets, owners, slots and routes are all derived from
+/// the replicas and member pool (`IndexReplica`).
 class Peer {
  public:
   /// `graph` is the shared topology (used only to resolve edge endpoints,
@@ -107,8 +109,6 @@ class Peer {
   /// The outgoing mapping stored for `edge`, or nullptr.
   const SchemaMapping* mapping(EdgeId edge) const;
 
-  std::vector<EdgeId> OutgoingEdges() const;
-
   // --- Priors & posteriors ----------------------------------------------------
 
   /// Sets explicit prior belief for one mapping variable (expert
@@ -120,7 +120,6 @@ class Peer {
   /// image for the attribute, the posterior is 0 (Section 3.2.1). Without
   /// any feedback evidence, returns the prior.
   double Posterior(const MappingVarKey& var) const;
-  Belief PosteriorBelief(const MappingVarKey& var) const;
 
   /// Whether any factor replica references (edge, attribute).
   bool HasEvidence(const MappingVarKey& var) const;
@@ -292,19 +291,20 @@ class Peer {
 
   /// One replicated feedback factor (Section 4.1 local factor graph) —
   /// cold metadata only, touched at ingest, rebuild and introspection
-  /// time. Everything a round needs lives in the SoA pools, addressed
-  /// through the parallel `ReplicaHot` entry: members and their owners at
-  /// [msg_base, msg_base + member_count) of the member pools (the same
-  /// slots as the message pools), owned positions at [owned_base,
-  /// owned_base + owned_count) of `owned_pos_pool_`.
+  /// time. Replicas own consecutive pool slices in index order, so
+  /// `member_count` is all the layout a replica records. Everything a
+  /// round needs lives in the SoA pools, addressed through the parallel
+  /// `ReplicaHot` entry: members and their owners at [msg_base, msg_base +
+  /// member_count) of the member pools (the same slots as the message
+  /// pools), owned positions at [owned_base, owned_base + owned_count) of
+  /// `owned_pos_pool_`.
   struct Replica {
     FactorId id;
     Closure closure;
     AttributeId root_attribute = 0;
     FeedbackSign sign = FeedbackSign::kNeutral;
     double delta = 0.1;
-    /// Distinct owners of foreign members, ascending (belief recipients).
-    std::vector<PeerId> other_owners;
+    uint32_t member_count = 0;
   };
 
   /// Flat per-replica hot state: every field `ComputeRound` /
@@ -337,8 +337,9 @@ class Peer {
   };
 
   /// Everything this peer tracks about one mapping variable: explicit
-  /// prior, EM evidence accumulator, previous-round posterior, and the
-  /// (replica, member position) slots of every factor that scopes it.
+  /// prior, EM evidence accumulator and previous-round posterior. The
+  /// (replica, member position) slots of the factors that scope it are
+  /// derived from the replicas and kept apart, in `var_slots_`.
   struct VarState {
     MappingVarKey key;
     double prior = 0.5;
@@ -348,7 +349,6 @@ class Peer {
     bool has_evidence_acc = false;
     double last_posterior = 0.0;
     bool has_last_posterior = false;
-    std::vector<std::pair<uint32_t, uint32_t>> slots;
   };
 
   /// One neighbor's alias state in canonical (serializable) form: both
@@ -362,7 +362,6 @@ class Peer {
     uint32_t tx_acked_prefix = 0;
     std::vector<FactorId> rx_id_of;
     uint32_t rx_known_prefix = 0;
-    std::vector<uint32_t> replica_of_alias;
     /// Transmit-side value-precision tier (see `PeerLink::value_rank`).
     uint32_t value_rank = 0;
     /// Byzantine-guard state; zeros when the guard is off.
@@ -381,26 +380,32 @@ class Peer {
     bool has_last = false;
   };
 
-  /// A complete, self-contained copy of this peer's mutable state in
+  /// A complete, self-contained copy of this peer's primary state in
   /// canonical form: dense arrays only, no hash tables, no pointers — the
-  /// unit the undo sessions copy and the snapshot layer serializes. All
-  /// derived indexes (`replica_index_`, `var_index_`, `edge_vars_`, the
-  /// alias maps) are rebuilt deterministically by `RestoreImage`, so two
-  /// peers restored from equal images are behaviorally identical, bit for
-  /// bit. The document store is intentionally excluded: it is configured
-  /// at deployment time and never mutated by the protocol.
+  /// unit the undo sessions copy and the snapshot layer serializes.
+  ///
+  /// Stored: mappings; replicas (id, closure, root attribute, sign, ∆,
+  /// member count); the member, message and guard slot pools; per
+  /// variable its key, prior and evidence; the alias sessions with their
+  /// tiers and guard state; alias epoch, round, announcements, seen
+  /// queries and the probe cache.
+  ///
+  /// Rebuilt by `RestoreImage` from the replicas in index order, through
+  /// the same code `RemoveMapping` uses: pool offsets (`ReplicaHot`),
+  /// member owners, owned positions, `replica_index_`, the variable slots
+  /// and the belief routes, whose session aliases the restored sessions
+  /// already hold. The receive-side alias -> replica caches start empty
+  /// and refill on first use. Two peers restored from equal images are
+  /// behaviorally identical, bit for bit. The document store is
+  /// intentionally excluded: it is configured at deployment time and never
+  /// mutated by the protocol.
   struct Image {
     std::vector<std::pair<EdgeId, SchemaMapping>> mappings;
     std::vector<Replica> replicas;
-    std::vector<ReplicaHot> replica_hot;
     std::vector<Belief> var_to_factor_pool;
     std::vector<Belief> factor_to_var_pool;
     std::vector<MappingVarKey> member_pool;
-    std::vector<PeerId> member_owner_pool;
-    std::vector<uint32_t> owned_pos_pool;
-    std::vector<BeliefRoute> belief_routes;
-    /// In alias-link creation order (deterministic: it follows replica
-    /// ingest order), so `BeliefRoute::link` indexes into it unchanged.
+    /// In alias-link creation order, which restoring keeps.
     std::vector<LinkImage> links;
     uint32_t alias_epoch = 0;
     /// Per-slot Byzantine-guard history (empty when the guard is off).
@@ -421,19 +426,24 @@ class Peer {
   /// effect on the peer.
   Image CaptureImage() const;
 
-  /// Replaces the peer's mutable state with `image`, rebuilding every
-  /// derived index. Restoring a capture of the same peer is exact: rounds,
-  /// bundles, probes and queries behave bitwise-identically to the peer
-  /// that was captured.
-  void RestoreImage(const Image& image);
+  /// Ok when `image` can be restored into this peer without any index
+  /// leaving its array: the replicas' member counts add up to the member
+  /// and message pools, the guard pool is no longer than they are, every
+  /// edge id (members, closures, mappings, variables, cached probe
+  /// routes) lies in the graph's EdgeId space, and every link names a
+  /// distinct peer of the graph with prefixes inside its alias tables.
+  /// `InvalidArgument` otherwise. Pure check — never mutates.
+  Status ValidateImage(const Image& image) const;
 
-  /// Restores from a capture, moving the bulk arrays instead of copying.
-  void RestoreImage(Image&& image);
+  /// Replaces the peer's mutable state with `image`, which must pass
+  /// `ValidateImage`, and rebuilds every derived index. Restoring a
+  /// capture of the same peer is exact: rounds, bundles, probes and
+  /// queries behave bitwise-identically to the peer that was captured.
+  void RestoreImage(Image image);
 
  private:
   /// Index of `var` in `vars_`, creating the entry on first sight.
   uint32_t InternVar(const MappingVarKey& var);
-  const VarState* FindVar(const MappingVarKey& var) const;
 
   /// Ok when no replica is stored under `id`, or the stored replica has
   /// exactly the announced factor content (closure structure, root
@@ -442,9 +452,15 @@ class Peer {
   Status ValidateFactorContent(const FactorId& id, const Closure& closure,
                                const AttributeFeedback& feedback) const;
 
-  /// Registers replica `r` with the per-recipient belief routing tables,
-  /// negotiating a session alias per (recipient, factor) on the way.
-  void AddReplicaToRoutes(uint32_t r);
+  /// Derives everything the hot path needs about replica `r`, the one
+  /// after those already indexed, from its member slice: `ReplicaHot`,
+  /// member owners, owned positions, index entry, variable slots, and its
+  /// belief routes, negotiating a session alias per (recipient, factor).
+  void IndexReplica(uint32_t r);
+
+  /// Clears every index derived from the replicas and re-derives them in
+  /// replica order (restore, mapping removal).
+  void RebuildIndexes();
 
   /// The replica's member scope, as a view into the member pool.
   std::span<const MappingVarKey> Members(uint32_t r) const {
@@ -545,7 +561,7 @@ class Peer {
   uint64_t round_ = 0;
 
   /// Per-recipient outgoing-belief routes, ascending by recipient; built
-  /// incrementally at ingest, rebuilt on mapping removal.
+  /// incrementally at ingest, rebuilt on mapping removal and restore.
   std::vector<BeliefRoute> belief_routes_;
 
   /// Sentinel in `PeerLink::replica_of_alias`: binding known but factor
@@ -555,7 +571,9 @@ class Peer {
   /// One neighbor's alias state: the wire session (both directions) plus
   /// a receive-side alias -> replica-index cache, so steady-state
   /// absorption is a single 4-byte load per group instead of a
-  /// fingerprint hash lookup per update.
+  /// fingerprint hash lookup per update. The cache is not part of
+  /// `LinkImage`: it starts empty after a restore and refills from the
+  /// receive session on first use.
   struct PeerLink {
     AliasLink session;
     std::vector<uint32_t> replica_of_alias;
@@ -596,6 +614,9 @@ class Peer {
 
   /// Dense per-variable state + hashed index by packed (edge, attribute).
   std::vector<VarState> vars_;
+  /// Parallel to `vars_`: the (replica, member position) slots of every
+  /// factor scoping the variable, ascending (derived at ingest/rebuild).
+  std::vector<std::vector<std::pair<uint32_t, uint32_t>>> var_slots_;
   std::unordered_map<uint64_t, uint32_t> var_index_;
   /// Indexes of `vars_` entries per mapping edge, ascending (lazy-schedule
   /// piggybacking looks variables up by edge, not by full key).

@@ -218,18 +218,7 @@ void PutPeerImage(Writer& w, const Peer::Image& image) {
     w.Fixed32(replica.root_attribute);
     w.U8(static_cast<uint8_t>(replica.sign));
     w.Double(replica.delta);
-    w.Varint(replica.other_owners.size());
-    for (PeerId p : replica.other_owners) w.Fixed32(p);
-  }
-
-  w.Varint(image.replica_hot.size());
-  for (const Peer::ReplicaHot& hot : image.replica_hot) {
-    w.Fixed32(hot.msg_base);
-    w.Fixed32(hot.member_count);
-    w.Fixed32(hot.owned_base);
-    w.Fixed32(hot.owned_count);
-    w.Double(hot.delta);
-    w.Bool(hot.positive);
+    w.Varint(replica.member_count);
   }
 
   w.Varint(image.var_to_factor_pool.size());
@@ -248,22 +237,6 @@ void PutPeerImage(Writer& w, const Peer::Image& image) {
     w.Fixed32(key.edge);
     w.Fixed32(key.attribute);
   }
-  w.Varint(image.member_owner_pool.size());
-  for (PeerId p : image.member_owner_pool) w.Fixed32(p);
-  w.Varint(image.owned_pos_pool.size());
-  for (uint32_t pos : image.owned_pos_pool) w.Fixed32(pos);
-
-  w.Varint(image.belief_routes.size());
-  for (const Peer::BeliefRoute& route : image.belief_routes) {
-    w.Fixed32(route.to);
-    w.Fixed32(route.link);
-    w.Fixed32(route.entry_total);
-    w.Varint(route.groups.size());
-    for (const auto& [replica, alias] : route.groups) {
-      w.Fixed32(replica);
-      w.Fixed32(alias);
-    }
-  }
 
   w.Varint(image.links.size());
   for (const Peer::LinkImage& link : image.links) {
@@ -274,8 +247,6 @@ void PutPeerImage(Writer& w, const Peer::Image& image) {
     w.Varint(link.rx_id_of.size());
     for (const FactorId& id : link.rx_id_of) PutFactorId(w, id);
     w.Fixed32(link.rx_known_prefix);
-    w.Varint(link.replica_of_alias.size());
-    for (uint32_t replica : link.replica_of_alias) w.Fixed32(replica);
     w.U8(static_cast<uint8_t>(link.value_rank));
     w.Double(link.guard.score);
     w.U8(static_cast<uint8_t>(link.guard.demote_level));
@@ -309,11 +280,6 @@ void PutPeerImage(Writer& w, const Peer::Image& image) {
     w.Bool(var.has_evidence_acc);
     w.Double(var.last_posterior);
     w.Bool(var.has_last_posterior);
-    w.Varint(var.slots.size());
-    for (const auto& [replica, position] : var.slots) {
-      w.Fixed32(replica);
-      w.Fixed32(position);
-    }
   }
 
   w.Varint(image.announced.size());
@@ -367,20 +333,11 @@ Status GetPeerImage(Reader& r, Peer::Image* image) {
     }
     replica.sign = static_cast<FeedbackSign>(sign);
     replica.delta = r.Double();
-    replica.other_owners.resize(r.Count(4));
-    for (PeerId& p : replica.other_owners) p = r.Fixed32();
+    const uint64_t member_count = r.Varint();
+    if (member_count > UINT32_MAX) return corrupt("replica member count");
+    replica.member_count = static_cast<uint32_t>(member_count);
   }
   if (r.failed()) return corrupt("replica table");
-
-  image->replica_hot.resize(r.Count(16));
-  for (Peer::ReplicaHot& hot : image->replica_hot) {
-    hot.msg_base = r.Fixed32();
-    hot.member_count = r.Fixed32();
-    hot.owned_base = r.Fixed32();
-    hot.owned_count = r.Fixed32();
-    hot.delta = r.Double();
-    hot.positive = r.Bool();
-  }
 
   image->var_to_factor_pool.resize(r.Count(16));
   for (Belief& b : image->var_to_factor_pool) {
@@ -398,23 +355,7 @@ Status GetPeerImage(Reader& r, Peer::Image* image) {
     key.edge = r.Fixed32();
     key.attribute = r.Fixed32();
   }
-  image->member_owner_pool.resize(r.Count(4));
-  for (PeerId& p : image->member_owner_pool) p = r.Fixed32();
-  image->owned_pos_pool.resize(r.Count(4));
-  for (uint32_t& pos : image->owned_pos_pool) pos = r.Fixed32();
   if (r.failed()) return corrupt("message pools");
-
-  image->belief_routes.resize(r.Count(12));
-  for (Peer::BeliefRoute& route : image->belief_routes) {
-    route.to = r.Fixed32();
-    route.link = r.Fixed32();
-    route.entry_total = r.Fixed32();
-    route.groups.resize(r.Count(8));
-    for (auto& [replica, alias] : route.groups) {
-      replica = r.Fixed32();
-      alias = r.Fixed32();
-    }
-  }
 
   image->links.resize(r.Count(12));
   for (Peer::LinkImage& link : image->links) {
@@ -425,8 +366,6 @@ Status GetPeerImage(Reader& r, Peer::Image* image) {
     link.rx_id_of.resize(r.Count(16));
     for (FactorId& id : link.rx_id_of) id = GetFactorId(r);
     link.rx_known_prefix = r.Fixed32();
-    link.replica_of_alias.resize(r.Count(4));
-    for (uint32_t& replica : link.replica_of_alias) replica = r.Fixed32();
     link.value_rank = r.U8();
     if (link.value_rank >= kValueRankCount) return corrupt("link value rank");
     link.guard.score = r.Double();
@@ -463,11 +402,6 @@ Status GetPeerImage(Reader& r, Peer::Image* image) {
     var.has_evidence_acc = r.Bool();
     var.last_posterior = r.Double();
     var.has_last_posterior = r.Bool();
-    var.slots.resize(r.Count(8));
-    for (auto& [replica, position] : var.slots) {
-      replica = r.Fixed32();
-      position = r.Fixed32();
-    }
   }
 
   image->announced.resize(r.Count(16));

@@ -46,7 +46,15 @@ namespace pdms {
 /// v4: in-flight inbox and probe-cache payloads are stored in wire format
 /// v5 (`EncodePayload`); a v3 file's v4 bundles would parse under the v5
 /// token rules and could be misread without any error.
-inline constexpr uint32_t kSnapshotFormatVersion = 4;
+///
+/// v5: peer images hold primary state only. Replicas carry their member
+/// count; pool offsets, member owners, owned positions, belief routes,
+/// variable slots, the replicas' foreign-owner lists and the receive-side
+/// alias -> replica caches are no longer stored — restore re-derives them
+/// from the replicas and validates what is stored
+/// (`Peer::ValidateImage`). A v4 file lays those fields out where v5
+/// expects others, so it is refused, and the shard cold-starts.
+inline constexpr uint32_t kSnapshotFormatVersion = 5;
 
 /// Deterministic fingerprint of the deployment a snapshot belongs to:
 /// topology (nodes, every edge ever added, shard placement) plus the

@@ -93,9 +93,10 @@ Pdms MakeChurnPdms(uint64_t seed = 17, bool adversarial = false) {
 }
 
 /// Every size that could leak, flattened in a fixed traversal order:
-/// mapping tables, replica pools, the message/member SoA pools, belief
-/// routes, alias-session tables of every link, interned vars and the
-/// probe cache — across all peers.
+/// mapping tables, replica pools, the message/member SoA pools,
+/// alias-session tables of every link, interned vars and the probe cache
+/// — across all peers. The image holds primary state only; the indexes
+/// derived from it (routes, owners, slots) are rebuilt from these sizes.
 struct Footprint {
   std::vector<size_t> dims;
   bool operator==(const Footprint&) const = default;
@@ -116,14 +117,10 @@ Footprint Measure(const Pdms& pdms) {
     footprint.dims.push_back(image.var_to_factor_pool.size());
     footprint.dims.push_back(image.factor_to_var_pool.size());
     footprint.dims.push_back(image.member_pool.size());
-    footprint.dims.push_back(image.member_owner_pool.size());
-    footprint.dims.push_back(image.owned_pos_pool.size());
-    footprint.dims.push_back(image.belief_routes.size());
     footprint.dims.push_back(image.links.size());
     for (const Peer::LinkImage& link : image.links) {
       footprint.dims.push_back(link.tx_id_by_alias.size());
       footprint.dims.push_back(link.rx_id_of.size());
-      footprint.dims.push_back(link.replica_of_alias.size());
     }
     footprint.dims.push_back(image.guard_slot_pool.size());
     footprint.dims.push_back(image.vars.size());

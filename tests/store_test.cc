@@ -7,7 +7,11 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <functional>
+#include <memory>
+#include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -16,6 +20,7 @@
 
 #include "graph/topology.h"
 #include "mapping/mapping_generator.h"
+#include "net/codec.h"
 #include "pdms/pdms.h"
 #include "store/snapshot.h"
 #include "util/rng.h"
@@ -152,30 +157,274 @@ TEST(SnapshotCodecTest, EncodeDecodeRoundTripsBitwise) {
   EXPECT_EQ(EncodeSnapshot(decoded.value()), bytes);
 }
 
+/// Every posterior of every live (edge, attribute) as `%a` text, so a
+/// difference in the last bit shows and prints.
+std::vector<std::string> HexPosteriors(const Pdms& pdms) {
+  std::vector<std::string> posteriors;
+  for (EdgeId e : pdms.graph().LiveEdges()) {
+    const size_t attrs = pdms.peer(pdms.graph().edge(e).src).schema().size();
+    for (AttributeId a = 0; a < attrs; ++a) {
+      posteriors.push_back(StrFormat("%a", pdms.Posterior(e, a)));
+    }
+  }
+  return posteriors;
+}
+
+/// Every envelope sent while the log is read, in send order.
+struct SendLog {
+  std::mutex mutex;
+  std::vector<CapturedFrame> frames;
+};
+
+/// An `InstantTransport` that copies every envelope into a `SendLog`.
+class RecordingTransport final : public Transport {
+ public:
+  RecordingTransport(size_t peers, std::shared_ptr<SendLog> log)
+      : inner_(peers), log_(std::move(log)) {}
+
+  std::string_view name() const override { return "recording"; }
+  size_t peer_count() const override { return inner_.peer_count(); }
+  uint64_t now() const override { return inner_.now(); }
+  void AdvanceTick() override { inner_.AdvanceTick(); }
+  void Send(PeerId from, PeerId to, std::optional<EdgeId> via,
+            Payload payload) override {
+    {
+      std::lock_guard<std::mutex> lock(log_->mutex);
+      CapturedFrame& frame = log_->frames.emplace_back();
+      frame.seq = log_->frames.size();
+      frame.envelope = Envelope{from, to, via, inner_.now(), payload};
+    }
+    inner_.Send(from, to, via, std::move(payload));
+  }
+  std::vector<Envelope> Drain(PeerId peer) override {
+    return inner_.Drain(peer);
+  }
+  bool HasPendingMessages() const override {
+    return inner_.HasPendingMessages();
+  }
+  const TransportStats& stats() const override { return inner_.stats(); }
+  void ResetStats() override { inner_.ResetStats(); }
+
+ private:
+  InstantTransport inner_;
+  std::shared_ptr<SendLog> log_;
+};
+
+/// The envelopes of a log as (from, to, EncodePayload bytes).
+std::vector<std::pair<std::pair<PeerId, PeerId>, std::vector<uint8_t>>>
+EncodedSends(SendLog& log) {
+  std::vector<std::pair<std::pair<PeerId, PeerId>, std::vector<uint8_t>>> sent;
+  for (const CapturedFrame& frame : log.frames) {
+    std::vector<uint8_t> bytes;
+    EncodePayload(frame.envelope.payload, &bytes);
+    sent.emplace_back(std::make_pair(frame.envelope.from, frame.envelope.to),
+                      std::move(bytes));
+  }
+  return sent;
+}
+
+/// Builds a network over a `RecordingTransport` feeding `log`.
+using RecordedBuild = std::function<Pdms(std::shared_ptr<SendLog> log)>;
+
+/// Runs `prepare` and one more round on a network from `build`, then cuts:
+/// the engine image plus that round's bundles, still in flight, through
+/// `EncodeSnapshot`/`DecodeSnapshot`. A fresh network from `build`
+/// restored from the cut must send byte-identical payloads and reach
+/// `%a`-identical posteriors for 20 rounds, in lockstep with the original.
+void ExpectRestoredTwinRunsInLockstep(
+    const RecordedBuild& build, const std::function<void(Pdms&)>& prepare) {
+  const auto original_log = std::make_shared<SendLog>();
+  Pdms original = build(original_log);
+  prepare(original);
+  original_log->frames.clear();
+  original.session().Step();
+  NodeSnapshot cut;
+  cut.engine = original.engine().CaptureImage();
+  cut.inbox = original_log->frames;
+  ASSERT_FALSE(cut.inbox.empty());
+  Result<NodeSnapshot> decoded = DecodeSnapshot(EncodeSnapshot(cut));
+  ASSERT_TRUE(decoded.ok()) << decoded.status();
+
+  const auto twin_log = std::make_shared<SendLog>();
+  Pdms twin = build(twin_log);
+  ASSERT_TRUE(
+      twin.engine().RestoreImage(std::move(decoded.value().engine)).ok());
+  for (CapturedFrame& frame : decoded.value().inbox) {
+    Envelope& in_flight = frame.envelope;
+    twin.transport().Send(in_flight.from, in_flight.to, in_flight.via,
+                          std::move(in_flight.payload));
+  }
+  ASSERT_EQ(HexPosteriors(twin), HexPosteriors(original));
+  for (int round = 1; round <= 20; ++round) {
+    SCOPED_TRACE(round);
+    original_log->frames.clear();
+    twin_log->frames.clear();
+    original.session().Step();
+    twin.session().Step();
+    ASSERT_EQ(EncodedSends(*twin_log), EncodedSends(*original_log));
+    ASSERT_EQ(HexPosteriors(twin), HexPosteriors(original));
+  }
+}
+
+/// A symmetrized Barabási–Albert network of `peers` 6-attribute schemas.
+SyntheticPdms MakeBaNetwork(size_t peers, uint64_t seed) {
+  Rng rng(seed);
+  Digraph graph = topology::BarabasiAlbert(peers, 2, &rng);
+  topology::Symmetrize(&graph);
+  MappingNetworkOptions network;
+  network.attributes_per_schema = 6;
+  network.error_rate = 0.2;
+  return BuildSyntheticPdms(graph, network, &rng);
+}
+
+RecordedBuild BaOverRecording(const SyntheticPdms& network,
+                              EngineOptions options, size_t parallelism) {
+  options.parallelism = parallelism;
+  options.min_peers_per_lane = 1;
+  return [network, options](std::shared_ptr<SendLog> log) {
+    Result<Pdms> built =
+        PdmsBuilder::FromSynthetic(network)
+            .WithOptions(options)
+            .WithTransport([log](size_t peers, const EngineOptions&) {
+              return std::make_unique<RecordingTransport>(peers, log);
+            })
+            .Build();
+    EXPECT_TRUE(built.ok()) << built.status();
+    return std::move(built).value();
+  };
+}
+
 TEST(SnapshotCodecTest, RestoredImageReproducesPosteriors) {
   Pdms pdms = MakeIntroPdms();
   NodeSnapshot snapshot = MakeSnapshot(pdms);
-
-  std::vector<double> before;
-  for (EdgeId e : pdms.graph().LiveEdges()) {
-    for (AttributeId a = 0; a < kAttrs; ++a) {
-      before.push_back(pdms.Posterior(e, a));
-    }
-  }
+  const std::vector<std::string> before = HexPosteriors(pdms);
 
   // Perturb the live engine, then restore through the wire format.
   pdms.session().Step();
   Result<NodeSnapshot> decoded = DecodeSnapshot(EncodeSnapshot(snapshot));
   ASSERT_TRUE(decoded.ok());
-  pdms.engine().RestoreImage(std::move(decoded.value().engine));
+  ASSERT_TRUE(
+      pdms.engine().RestoreImage(std::move(decoded.value().engine)).ok());
+  EXPECT_EQ(HexPosteriors(pdms), before);
 
-  std::vector<double> after;
-  for (EdgeId e : pdms.graph().LiveEdges()) {
-    for (AttributeId a = 0; a < kAttrs; ++a) {
-      after.push_back(pdms.Posterior(e, a));
+  // A fresh engine restored from a cut runs on exactly like the original:
+  // the rebuilt routes, slots and pool offsets must equal the ones the
+  // original derived at ingest and on mapping removal.
+  for (const size_t parallelism : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE(parallelism);
+    {
+      SCOPED_TRACE("guarded, budget 1e-3, after a mapping removal");
+      EngineOptions options;
+      options.probe_ttl = 3;
+      options.closure_limits.min_cycle_length = 2;
+      options.closure_limits.max_cycle_length = 3;
+      options.closure_limits.max_path_length = 1;
+      options.damping = 0.5;
+      options.value_error_budget = 1e-3;
+      options.byzantine_guard.enabled = true;
+      options.byzantine.seed = 5;
+      options.byzantine.lie_probability = 0.3;
+      options.byzantine.invert_values = true;
+      options.byzantine.adversaries = {2, 9};
+      ExpectRestoredTwinRunsInLockstep(
+          BaOverRecording(MakeBaNetwork(40, 21), options, parallelism),
+          [](Pdms& pdms) {
+            pdms.session().Discover();
+            for (int i = 0; i < 10; ++i) pdms.session().Step();
+            ASSERT_TRUE(pdms.RemoveMapping(pdms.graph().LiveEdges()[5]).ok());
+            pdms.session().Discover();
+            for (int i = 0; i < 3; ++i) pdms.session().Step();
+          });
+    }
+    {
+      SCOPED_TRACE("long cycles, TTL 4");
+      EngineOptions options;
+      options.probe_ttl = 4;
+      options.closure_limits.min_cycle_length = 2;
+      options.closure_limits.max_cycle_length = 4;
+      options.closure_limits.max_path_length = 1;
+      options.damping = 0.5;
+      ExpectRestoredTwinRunsInLockstep(
+          BaOverRecording(MakeBaNetwork(80, 33), options, parallelism),
+          [](Pdms& pdms) {
+            pdms.session().Discover();
+            for (int i = 0; i < 10; ++i) pdms.session().Step();
+          });
     }
   }
-  EXPECT_EQ(before, after);
+}
+
+TEST(SnapshotCodecTest, RestoreRejectsTamperedImagesAndLeavesTheEngineAlone) {
+  Pdms pdms = MakeIntroPdms();
+  const std::vector<uint8_t> bytes = EncodeSnapshot(MakeSnapshot(pdms));
+  pdms.session().Step();  // the engine moves past the cut
+  const std::vector<std::string> before = HexPosteriors(pdms);
+  const std::vector<EdgeId> live = pdms.graph().LiveEdges();
+
+  // Each tamper hits the last peer, so a restore that checked and
+  // restored peer by peer would already have overwritten the others.
+  const std::vector<std::pair<const char*, std::function<void(Peer::Image&)>>>
+      tampers = {
+          {"message pool one entry short",
+           [](Peer::Image& image) { image.var_to_factor_pool.pop_back(); }},
+          {"member edge out of range",
+           [](Peer::Image& image) { image.member_pool[0].edge = 50'000'000; }},
+          {"member count past the pools",
+           [](Peer::Image& image) { ++image.replicas[0].member_count; }},
+          {"closure edge out of range",
+           [](Peer::Image& image) {
+             image.replicas[0].closure.edges[0] = 50'000'000;
+           }},
+          {"guard pool longer than the message pools",
+           [](Peer::Image& image) {
+             image.guard_slot_pool.resize(image.var_to_factor_pool.size() + 1);
+           }},
+          {"mapping edge out of range",
+           [](Peer::Image& image) { image.mappings[0].first = 50'000'000; }},
+          {"variable edge out of range",
+           [](Peer::Image& image) { image.vars[0].key.edge = 50'000'000; }},
+          {"ack prefix past the transmit table",
+           [](Peer::Image& image) {
+             Peer::LinkImage& link = image.links[0];
+             link.tx_acked_prefix =
+                 static_cast<uint32_t>(link.tx_id_by_alias.size()) + 1;
+           }},
+          {"known prefix past the receive table",
+           [](Peer::Image& image) {
+             image.links[0].rx_known_prefix =
+                 static_cast<uint32_t>(image.links[0].rx_id_of.size()) + 1;
+           }},
+          {"receive table past the session cap",
+           [](Peer::Image& image) {
+             image.links[0].rx_id_of.resize(kMaxAliasesPerSession + 1);
+           }},
+          {"link to a peer outside the graph",
+           [](Peer::Image& image) { image.links[0].peer = 4; }},
+          {"two links to one peer",
+           [](Peer::Image& image) {
+             image.links.push_back(image.links[0]);
+           }},
+      };
+  for (const auto& [what, tamper] : tampers) {
+    SCOPED_TRACE(what);
+    Result<NodeSnapshot> decoded = DecodeSnapshot(bytes);
+    ASSERT_TRUE(decoded.ok()) << decoded.status();
+    Peer::Image& victim = decoded.value().engine.peers.back();
+    ASSERT_FALSE(victim.replicas.empty());
+    ASSERT_FALSE(victim.links.empty());
+    tamper(victim);
+    const Status restored =
+        pdms.engine().RestoreImage(std::move(decoded.value().engine));
+    EXPECT_EQ(restored.code(), StatusCode::kInvalidArgument) << restored;
+    EXPECT_EQ(pdms.graph().LiveEdges(), live);
+    EXPECT_EQ(HexPosteriors(pdms), before);
+  }
+  // The untampered cut still restores, and the engine keeps running.
+  Result<NodeSnapshot> decoded = DecodeSnapshot(bytes);
+  ASSERT_TRUE(decoded.ok());
+  ASSERT_TRUE(
+      pdms.engine().RestoreImage(std::move(decoded.value().engine)).ok());
+  pdms.session().Step();
 }
 
 TEST(SnapshotCodecTest, RejectsTruncatedInput) {
@@ -206,17 +455,22 @@ TEST(SnapshotCodecTest, RejectsBadMagicAndVersion) {
 
 TEST(SnapshotCodecTest, RefusesVersion3FilesWithPreV5Bundles) {
   // A v3 file stores in-flight bundles in wire format v4, whose tokens the
-  // v5 decoder could misread without any error: the version check is what
-  // keeps them out.
+  // v5 decoder could misread without any error; a v4 file stores pool
+  // offsets, routes and slot lists where v5 expects other fields. The
+  // version check is what keeps both out.
   Pdms pdms = MakeIntroPdms();
-  std::vector<uint8_t> bytes = EncodeSnapshot(MakeSnapshot(pdms));
+  const std::vector<uint8_t> bytes = EncodeSnapshot(MakeSnapshot(pdms));
   ASSERT_EQ(bytes[8], kSnapshotFormatVersion);
-  bytes[8] = 3;  // little-endian fixed32 after the 8-byte magic
-  Result<NodeSnapshot> decoded = DecodeSnapshot(bytes);
-  ASSERT_FALSE(decoded.ok());
-  EXPECT_EQ(decoded.status().code(), StatusCode::kFailedPrecondition);
-  EXPECT_NE(decoded.status().message().find("version 3"), std::string::npos)
-      << decoded.status();
+  for (const uint8_t version : {3, 4}) {
+    std::vector<uint8_t> old = bytes;
+    old[8] = version;  // little-endian fixed32 after the 8-byte magic
+    Result<NodeSnapshot> decoded = DecodeSnapshot(old);
+    ASSERT_FALSE(decoded.ok());
+    EXPECT_EQ(decoded.status().code(), StatusCode::kFailedPrecondition);
+    EXPECT_NE(decoded.status().message().find(StrFormat("version %u", version)),
+              std::string::npos)
+        << decoded.status();
+  }
 }
 
 TEST(SnapshotCodecTest, RejectsPayloadCorruption) {
